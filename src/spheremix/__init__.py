@@ -4,7 +4,45 @@ Clusters unit-norm embeddings with a von Mises-Fisher mixture whose soft
 assignments are pushed toward uniform cluster mass, selects influential
 per-cluster representatives, and distills the fitted partition into a
 hashed n-gram linear text classifier.
+
+BLAS reads its thread count once, when numpy first loads, so the cap
+(GEM_THREADS, or 1 under --deterministic on the command line) is applied
+here, before any submodule imports numpy.
 """
+
+import os
+import sys
+
+from .errors import SphereMixError
+
+_THREAD_VARS = (
+    "OPENBLAS_NUM_THREADS",
+    "OMP_NUM_THREADS",
+    "MKL_NUM_THREADS",
+    "NUMEXPR_NUM_THREADS",
+)
+
+
+def _cap_threads(argv: list[str]) -> None:
+    """Set the BLAS thread variables: 1 under --deterministic, else
+    GEM_THREADS; leaves them alone when neither is given."""
+    env = os.environ.get("GEM_THREADS")
+    n = None
+    if env is not None:
+        n = int(env) if env.strip().isdecimal() else 0
+        if n < 1:
+            raise SphereMixError(f"GEM_THREADS must be a positive integer, got {env!r}")
+    if "--deterministic" in argv:
+        n = 1
+    if n is not None:
+        for var in _THREAD_VARS:
+            os.environ[var] = str(n)
+
+
+try:
+    _cap_threads(sys.argv[1:])
+except SphereMixError:
+    pass  # leaves the environment alone; the CLI's main() reports the error
 
 from .baselines import (
     ClusterMetrics,

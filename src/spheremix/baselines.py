@@ -1,9 +1,9 @@
 """Hard-clustering baselines and partition metrics.
 
-Euclidean k-means and spherical k-means (both k-means++ seeded), optimal
-label matching by the Hungarian algorithm, normalized mutual information,
-and the collapse report (how far the cluster-size histogram sits from
-uniform).
+Euclidean k-means (k-means++ seeded), spherical k-means (the fit's
+initializer run as a hard clustering), optimal label matching by the
+Hungarian algorithm, normalized mutual information, and the collapse
+report (how far the cluster-size histogram sits from uniform).
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from scipy.special import xlogy
 
 from .errors import SizeMismatchError, TooFewPointsError
 from .geometry import normalize
+from .inference import init_spherical_kmeans
 
 
 @dataclass(frozen=True)
@@ -101,28 +102,12 @@ def _sq_dists(X: np.ndarray, centers: np.ndarray) -> np.ndarray:
 def spherical_kmeans_fit(
     X: np.ndarray, k: int, seed: int, max_rounds: int = 100
 ) -> HardPartition:
-    """k-means with cosine assignment and normalized-resultant centroids."""
-    X = np.asarray(X, dtype=np.float64)
-    n = X.shape[0]
-    if n < k:
-        raise TooFewPointsError(f"{n} points cannot support k={k} clusters")
-    rng = np.random.default_rng(seed)
-    centers = normalize(_kmeanspp_seed(normalize(X), k, rng))
+    """k-means with cosine assignment and normalized-resultant centroids
+    (Dhillon & Modha 2001): init_spherical_kmeans on the normalized rows,
+    each point labelled by its nearest final centroid."""
     Xu = normalize(X)
-    labels = np.argmax(Xu @ centers.T, axis=1)
-    for _ in range(max_rounds):
-        for j in range(k):
-            mask = labels == j
-            if not np.any(mask):
-                cos_own = np.einsum("ij,ij->i", Xu, centers[labels])
-                centers[j] = Xu[int(np.argmin(cos_own))]
-                continue
-            centers[j] = normalize(Xu[mask].sum(axis=0))
-        new_labels = np.argmax(Xu @ centers.T, axis=1)
-        if np.array_equal(new_labels, labels):
-            break
-        labels = new_labels
-    return HardPartition(labels=labels, k=k).validate()
+    theta, _ = init_spherical_kmeans(Xu, k, seed, max_rounds=max_rounds)
+    return HardPartition(labels=np.argmax(Xu @ theta.means.T, axis=1), k=k).validate()
 
 
 def _contingency(a: HardPartition, b: HardPartition) -> np.ndarray:

@@ -6,39 +6,36 @@ lines. Usage mistakes exit 2 (argparse); data problems exit 1; success 0.
 
 The GEM_THREADS environment variable caps BLAS worker threads; the
 --deterministic flag pins them to 1 so outputs are bit-reproducible across
-machines. Thread caps are applied before numpy is first imported, which is
-why the numeric modules are imported lazily inside the command bodies.
+machines. The package applies the cap when it is imported, before numpy
+loads; main() re-reads GEM_THREADS and reports a malformed value.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
+import dataclasses
 import sys
 
-_THREAD_VARS = (
-    "OPENBLAS_NUM_THREADS",
-    "OMP_NUM_THREADS",
-    "MKL_NUM_THREADS",
-    "NUMEXPR_NUM_THREADS",
+import numpy as np
+
+from . import _cap_threads, storage
+from .baselines import HardPartition, collapse_report, hungarian_match, nmi
+from .distill import (
+    FeaturizerSpec,
+    build_pseudo_labeled,
+    evaluate_student,
+    split_dataset,
+    train_student,
 )
-
-
-def _cap_threads(argv: list[str]) -> None:
-    cap = os.environ.get("GEM_THREADS")
-    if "--deterministic" in argv:
-        cap = "1"
-    if cap is None:
-        return
-    n = max(1, int(cap))
-    for var in _THREAD_VARS:
-        os.environ[var] = str(n)
+from .errors import SphereMixError
+from .gis import GisConfig, export_taxonomy_prompts, select_representatives
+from .inference import FitConfig, fit
+from .objective import empirical_mass, posterior
+from .synth import make_text_corpus, mixture_means, sample_mixture
 
 
 def _child_seeds(master: int, n: int) -> list[int]:
     """Deterministic per-subsystem seeds split from one master seed."""
-    import numpy as np
-
     return [int(c.generate_state(1)[0]) for c in np.random.SeedSequence(master).spawn(n)]
 
 
@@ -49,8 +46,6 @@ def _print_kv(key: str, value) -> None:
 
 
 def _subsample(rng_seed: int, n: int, fraction: float):
-    import numpy as np
-
     if not 0.0 < fraction <= 1.0:
         raise ValueError(f"--seed-fraction must lie in (0, 1], got {fraction}")
     if fraction == 1.0:
@@ -60,23 +55,23 @@ def _subsample(rng_seed: int, n: int, fraction: float):
     return np.sort(rows)
 
 
-def cmd_fit(args) -> int:
-    import numpy as np
-
-    from . import storage
-    from .baselines import HardPartition, collapse_report
-    from .inference import FitConfig, fit
-    from .objective import empirical_mass
-
+def _solver_input(args) -> tuple[np.ndarray, np.ndarray, FitConfig]:
+    """The rows `fit` and `sweep` cluster: the --input embeddings, subsampled
+    by --seed-fraction. Returns them, their row indices, and the FitConfig
+    of the solver flags (k and lambda left at their defaults)."""
     X = storage.read_embeddings(args.input)
     seed_init, seed_sub = _child_seeds(args.seed, 2)
     rows = _subsample(seed_sub, X.shape[0], args.seed_fraction)
-    X = X[rows]
-
     cfg = FitConfig(
-        k=args.k, lam=args.lam, max_iters=args.max_iters, stop_tol=args.stop_tol,
-        kappa_init=args.kappa_init, estep_sweeps=args.estep_sweeps, seed=seed_init,
+        max_iters=args.max_iters, stop_tol=args.stop_tol, kappa_init=args.kappa_init,
+        estep_sweeps=args.estep_sweeps, seed=seed_init,
     )
+    return X[rows], rows, cfg
+
+
+def cmd_fit(args) -> int:
+    X, _, cfg = _solver_input(args)
+    cfg = dataclasses.replace(cfg, k=args.k, lam=args.lam)
     result = fit(X, cfg)
 
     meta = {
@@ -110,9 +105,6 @@ def cmd_fit(args) -> int:
 
 
 def cmd_assign(args) -> int:
-    from . import storage
-    from .objective import posterior
-
     X = storage.read_embeddings(args.input)
     theta, _, _ = storage.load_model(args.model)
     gamma = posterior(theta, X)
@@ -127,10 +119,6 @@ def cmd_assign(args) -> int:
 
 
 def cmd_gis(args) -> int:
-    from . import storage
-    from .gis import GisConfig, export_taxonomy_prompts, select_representatives
-    from .objective import posterior
-
     X = storage.read_embeddings(args.input)
     theta, _, _ = storage.load_model(args.model)
     gamma = posterior(theta, X)
@@ -155,17 +143,6 @@ def cmd_gis(args) -> int:
 
 
 def cmd_distill(args) -> int:
-    from . import storage
-    from .distill import (
-        FeaturizerSpec,
-        build_pseudo_labeled,
-        evaluate_student,
-        split_dataset,
-        train_student,
-    )
-    from .gis import GisConfig
-    from .objective import posterior
-
     X = storage.read_embeddings(args.input)
     texts = storage.read_texts(args.texts)
     theta, _, _ = storage.load_model(args.model)
@@ -198,19 +175,12 @@ def cmd_distill(args) -> int:
 
 
 def _load_partition(path, k=None):
-    import numpy as np
-
-    from . import storage
-    from .baselines import HardPartition
-
     labels = storage.read_labels(path)
     inferred = int(labels.max()) + 1 if labels.size else 1
     return HardPartition(labels=labels, k=k or inferred).validate()
 
 
 def cmd_eval(args) -> int:
-    from .baselines import collapse_report, hungarian_match, nmi
-
     if args.pred is None:
         raise ValueError("--pred is required (labels file to evaluate)")
     pred = _load_partition(args.pred, args.k)
@@ -227,11 +197,6 @@ def cmd_eval(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    import numpy as np
-
-    from . import storage
-    from .synth import make_text_corpus, mixture_means, sample_mixture
-
     seed_means, seed_mix, seed_text = _child_seeds(args.seed, 3)
     means = mixture_means(args.components, args.d, seed_means, args.arrangement)
     kappas = np.full(args.components, args.kappa)
@@ -255,17 +220,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    import numpy as np
-
-    from . import storage
-    from .baselines import HardPartition, collapse_report, hungarian_match, nmi
-    from .inference import FitConfig, fit
-    from .objective import empirical_mass
-
-    X = storage.read_embeddings(args.input)
-    seed_init, seed_sub = _child_seeds(args.seed, 2)
-    rows = _subsample(seed_sub, X.shape[0], args.seed_fraction)
-    X = X[rows]
+    X, rows, base = _solver_input(args)
     truth = None
     if args.truth is not None:
         full = _load_partition(args.truth)
@@ -280,12 +235,7 @@ def cmd_sweep(args) -> int:
     lines = ["\t".join(cols) + "\n"]
     for k in k_list:
         for lam in lam_list:
-            cfg = FitConfig(
-                k=k, lam=lam, max_iters=args.max_iters, stop_tol=args.stop_tol,
-                kappa_init=args.kappa_init, estep_sweeps=args.estep_sweeps,
-                seed=seed_init,
-            )
-            result = fit(X, cfg)
+            result = fit(X, dataclasses.replace(base, k=k, lam=lam))
             pi = empirical_mass(result.gamma)
             hard = HardPartition(labels=result.hard_labels, k=k).validate()
             report = collapse_report(hard)
@@ -410,15 +360,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    _cap_threads(argv)
     args = build_parser().parse_args(argv)
     try:
+        _cap_threads(argv)
         return args.func(args)
     except BrokenPipeError:
         return 1
     except Exception as exc:  # data/config errors: categorized, exit 1
-        from .errors import SphereMixError
-
         kind = "data error" if isinstance(exc, SphereMixError) else type(exc).__name__
         print(f"spheremix: {kind}: {exc}", file=sys.stderr)
         return 1

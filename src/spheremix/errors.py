@@ -47,3 +47,8 @@ class TruncatedPayloadError(SphereMixError):
 
 class NormFlagViolationError(SphereMixError):
     """An embedding file claims unit rows but contains non-unit rows."""
+
+
+class MalformedFileError(SphereMixError):
+    """A file holds what its format forbids: unparsable text, missing or
+    wrongly typed fields, or non-finite values."""

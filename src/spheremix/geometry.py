@@ -52,7 +52,7 @@ def as_embeddings(X: np.ndarray, *, atol: float = 1e-6) -> np.ndarray:
     if n < 1 or d < 2:
         raise DimensionMismatchError(f"need n >= 1 and d >= 2, got shape {X.shape}")
     norms = np.linalg.norm(X, axis=1)
-    if np.any(np.abs(norms - 1.0) > atol):
+    if not np.all(np.abs(norms - 1.0) <= atol):  # NaN rows fail too
         bad = int(np.argmax(np.abs(norms - 1.0)))
         raise ZeroVectorError(
             f"row {bad} has norm {norms[bad]:.6f}; embeddings must be unit length"

@@ -181,6 +181,8 @@ def export_taxonomy_prompts(
     representatives gets a warning and no file. Raises MissingDocumentError
     when a representative index has no document text.
     """
+    from .storage import atomic_write_text  # storage imports gis via distill
+
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
@@ -196,9 +198,7 @@ def export_taxonomy_prompts(
             docs.append(texts[int(i)])
         body = PROMPT_TEMPLATE.format(n_docs=len(docs), docs_content=_render_docs(docs))
         path = out_dir / f"cluster_{k:03}.prompt.txt"
-        tmp = path.with_suffix(".tmp")
-        tmp.write_text(body, encoding="utf-8")
-        tmp.replace(path)
+        atomic_write_text(path, body)
         written.append(path)
     return written
 

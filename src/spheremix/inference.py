@@ -41,7 +41,6 @@ class FitConfig:
     eps: float = 1e-8
     kappa_init: float = 1.0
     estep_sweeps: int = 3
-    estep_step: float = 1.0
     seed: int = 0
 
     def validate(self, n: int | None = None) -> "FitConfig":
@@ -59,8 +58,6 @@ class FitConfig:
             raise ValueError(f"kappa_init must lie in [0, {KAPPA_MAX:g}]")
         if self.estep_sweeps < 1:
             raise ValueError(f"estep_sweeps must be >= 1, got {self.estep_sweeps}")
-        if not self.estep_step > 0.0:
-            raise ValueError(f"estep_step must be > 0, got {self.estep_step}")
         if n is not None and n < self.k:
             raise TooFewPointsError(f"{n} points cannot support k={self.k} clusters")
         return self
@@ -168,13 +165,7 @@ def e_step(
     for _ in range(cfg.estep_sweeps):
         pi = cur.mean(axis=0)
         shift = (grad_anchor - cfg.lam * (pi - pi_anchor)) / n
-        logits = scores + shift[None, :]
-        if cfg.estep_step != 1.0:
-            # Damped/over-relaxed step in the mirror (log) domain. The
-            # step = 1 branch above avoids 0 * log(0) on sparse rows.
-            with np.errstate(divide="ignore"):
-                logits = (1.0 - cfg.estep_step) * np.log(cur) + cfg.estep_step * logits
-        cur = softmax_rows(logits)
+        cur = softmax_rows(scores + shift[None, :])
         val = surrogate_from_scores(scores, cur, pi_anchor, cfg.lam)
         if val > best_val:
             best, best_val = cur, val

@@ -50,9 +50,9 @@ class MixtureParams:
                 f"means {self.means.shape} and kappas {self.kappas.shape} disagree"
             )
         norms = np.linalg.norm(self.means, axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-6):
+        if not np.all(np.abs(norms - 1.0) <= 1e-6):
             raise DimensionMismatchError("mean directions must be unit vectors")
-        if np.any(self.kappas < 0.0) or np.any(self.kappas > KAPPA_MAX):
+        if not np.all((self.kappas >= 0.0) & (self.kappas <= KAPPA_MAX)):
             raise ValueError(f"kappas must lie in [0, {KAPPA_MAX:g}]")
         return self
 

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import json
 import os
+import secrets
 import struct
-import tempfile
 from pathlib import Path
 from typing import Iterator
 
@@ -20,6 +20,7 @@ import numpy as np
 from .distill import FeaturizerSpec, StudentModel
 from .errors import (
     BadMagicError,
+    MalformedFileError,
     NormFlagViolationError,
     SizeMismatchError,
     TruncatedPayloadError,
@@ -35,8 +36,11 @@ _UNIT_TOL = 1e-5
 
 
 def atomic_write_bytes(path: str | Path, data: bytes) -> None:
+    """Write through a uniquely named temp file and a rename. The file gets
+    the mode open() would give it: 0o666 less the umask."""
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
+    tmp = path.with_name(f"{path.name}.{secrets.token_hex(8)}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
@@ -95,13 +99,19 @@ def read_embeddings(path: str | Path) -> np.ndarray:
         )
     X = np.frombuffer(blob, dtype="<f4", count=n * d, offset=off).reshape(n, d)
     X = X.astype(np.float64)
-    if flag:
-        norms = np.linalg.norm(X, axis=1)
-        if np.any(np.abs(norms - 1.0) > _UNIT_TOL):
-            bad = int(np.argmax(np.abs(norms - 1.0)))
-            raise NormFlagViolationError(
-                f"{path}: normalized flag set but row {bad} has norm {norms[bad]:.6f}"
-            )
+    # Squares of widened f32 values cannot overflow f64, so a row's norm is
+    # finite exactly when all its values are.
+    norms = np.linalg.norm(X, axis=1)
+    finite = np.isfinite(norms)
+    if not np.all(finite):
+        raise MalformedFileError(
+            f"{path}: row {int(np.argmin(finite))} holds a NaN or infinite value"
+        )
+    if flag and np.any(np.abs(norms - 1.0) > _UNIT_TOL):
+        bad = int(np.argmax(np.abs(norms - 1.0)))
+        raise NormFlagViolationError(
+            f"{path}: normalized flag set but row {bad} has norm {norms[bad]:.6f}"
+        )
     return X
 
 
@@ -129,17 +139,22 @@ def save_model(path: str | Path, theta: MixtureParams, lam: float, meta: dict) -
 
 
 def load_model(path: str | Path) -> tuple[MixtureParams, float, dict]:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    if doc.get("format") != MODEL_FORMAT:
-        raise BadMagicError(f"{path}: expected format {MODEL_FORMAT!r}")
-    comps = doc["components"]
-    theta = MixtureParams(
-        means=np.array([c["mu"] for c in comps], dtype=np.float64),
-        kappas=np.array([c["kappa"] for c in comps], dtype=np.float64),
-    )
-    if theta.k != doc["k"] or theta.d != doc["d"]:
-        raise SizeMismatchError(f"{path}: header k/d disagree with components")
-    return theta.validate(), float(doc["lambda"]), doc.get("meta", {})
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        if doc.get("format") != MODEL_FORMAT:
+            raise BadMagicError(f"{path}: expected format {MODEL_FORMAT!r}")
+        comps = doc["components"]
+        theta = MixtureParams(
+            means=np.array([c["mu"] for c in comps], dtype=np.float64),
+            kappas=np.array([c["kappa"] for c in comps], dtype=np.float64),
+        )
+        if theta.k != doc["k"] or theta.d != doc["d"]:
+            raise SizeMismatchError(f"{path}: header k/d disagree with components")
+        return theta.validate(), float(doc["lambda"]), doc.get("meta", {})
+    except (AttributeError, LookupError, TypeError, ValueError) as exc:
+        raise MalformedFileError(
+            f"{path}: not a {MODEL_FORMAT} model ({type(exc).__name__}: {exc})"
+        ) from exc
 
 
 def config_echo(cfg: FitConfig) -> dict:
@@ -151,7 +166,6 @@ def config_echo(cfg: FitConfig) -> dict:
         "eps": cfg.eps,
         "kappa_init": cfg.kappa_init,
         "estep_sweeps": cfg.estep_sweeps,
-        "estep_step": cfg.estep_step,
         "seed": cfg.seed,
     }
 

@@ -1,10 +1,37 @@
-"""End-to-end command-line pipeline tests (run in-process via main)."""
+"""End-to-end command-line pipeline tests (run in-process via main, and in
+fresh interpreters where process start-up matters)."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spheremix
 from spheremix import storage
 from spheremix.cli import _cap_threads, main
+
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+               "NUMEXPR_NUM_THREADS")
+
+# Runs spheremix.cli as `python -m` does, and prints the BLAS thread
+# variables as they stand when numpy is first imported.
+NUMPY_IMPORT_PROBE = """
+import builtins, os, runpy, sys
+assert "numpy" not in sys.modules
+real_import = builtins.__import__
+seen = []
+def probe(name, *args, **kwargs):
+    if not seen and name.partition(".")[0] == "numpy":
+        seen.append(1)
+        print("at-numpy-import", *[os.environ.get(v) for v in {vars!r}])
+    return real_import(name, *args, **kwargs)
+builtins.__import__ = probe
+runpy.run_module("spheremix.cli", run_name="__main__", alter_sys=True)
+"""
 
 
 def run(capsys, *argv):
@@ -223,3 +250,67 @@ class TestErrorExits:
                            "--output", tmp_path / "m.json", "--seed-fraction", 1.5)
         assert code == 1
         assert "seed-fraction" in out.err
+
+    def test_non_finite_rows_are_data_errors(self, tmp_path, capsys):
+        emb, _ = make_corpus(tmp_path, capsys, n=200, components=2)
+        model = tmp_path / "model.json"
+        assert run(capsys, "fit", "--input", emb, "--output", model, "--k", 2)[0] == 0
+        X = storage.read_embeddings(emb)
+        X[7, 1] = np.nan
+        nan_emb = tmp_path / "nan.bin"
+        storage.write_embeddings(X, nan_emb)  # flag 0: rows are not all unit
+        for argv in (["fit", "--output", tmp_path / "m2.json", "--k", 2],
+                     ["assign", "--model", model, "--output", tmp_path / "a.tsv"]):
+            code, _, out = run(capsys, *argv, "--input", nan_emb)
+            assert code == 1
+            assert out.err.startswith("spheremix: data error:") and "row 7" in out.err
+        assert not (tmp_path / "m2.json").exists()
+        assert not (tmp_path / "a.tsv").exists()
+
+    def test_model_without_components_is_data_error(self, tmp_path, capsys):
+        emb, _ = make_corpus(tmp_path, capsys, n=100, components=2)
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({"format": "GEMMODEL1", "k": 2, "d": 16, "lambda": 1.0}))
+        code, _, out = run(capsys, "assign", "--input", emb, "--model", model,
+                           "--output", tmp_path / "a.tsv")
+        assert code == 1
+        assert out.err.startswith("spheremix: data error:") and "components" in out.err
+
+
+def run_fresh(tmp_path, env_extra, *argv, probe=False):
+    """`python -m spheremix.cli synth ... *argv` in a new interpreter with no
+    thread variables inherited."""
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS + ("GEM_THREADS",)}
+    src = str(Path(spheremix.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    env.update(env_extra)
+    head = ["-c", NUMPY_IMPORT_PROBE.format(vars=THREAD_VARS)] if probe else ["-m", "spheremix.cli"]
+    cmd = [sys.executable, *head, "synth", "--output", str(tmp_path / "e.bin"),
+           "--n", "30", "--d", "3", "--components", "2", *argv]
+    return subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=120)
+
+
+class TestThreadCapAtStartup:
+    @pytest.mark.parametrize(
+        "env, argv, want",
+        [({"GEM_THREADS": "2"}, [], "2"), ({}, ["--deterministic"], "1"),
+         ({"GEM_THREADS": "3"}, ["--deterministic"], "1")],
+    )
+    def test_set_before_numpy_loads(self, tmp_path, env, argv, want):
+        proc = run_fresh(tmp_path, env, *argv, probe=True)
+        assert proc.returncode == 0, proc.stderr
+        (line,) = [ln for ln in proc.stdout.splitlines() if ln.startswith("at-numpy-import")]
+        assert line.split()[1:] == [want] * len(THREAD_VARS)
+
+    def test_no_cap_leaves_variables_unset(self, tmp_path):
+        proc = run_fresh(tmp_path, {}, probe=True)
+        assert proc.returncode == 0, proc.stderr
+        assert "at-numpy-import None None None None" in proc.stdout
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-2"])
+    def test_bad_gem_threads_is_one_data_error_line(self, tmp_path, value):
+        proc = run_fresh(tmp_path, {"GEM_THREADS": value})
+        assert proc.returncode == 1
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith("spheremix: data error: GEM_THREADS")
+        assert not (tmp_path / "e.bin").exists()

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from spheremix.errors import DimensionMismatchError, ZeroVectorError
 from spheremix.geometry import (
+    as_embeddings,
     concentration_check,
     concentration_lower_bound,
     log_bessel_i,
@@ -207,6 +208,18 @@ class TestNormalize:
         if np.linalg.norm(v) < 1e-6:
             return
         assert abs(np.linalg.norm(normalize(v)) - 1.0) <= 1e-9
+
+
+class TestAsEmbeddings:
+    def test_accepts_unit_rows(self):
+        X = normalize(np.array([[3.0, 4.0], [0.0, -2.0]]))
+        np.testing.assert_array_equal(as_embeddings(X), X)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 2.0])
+    def test_rejects_bad_row(self, bad):
+        X = np.array([[1.0, 0.0], [bad, 0.0], [0.0, 1.0]])
+        with pytest.raises(ZeroVectorError, match="row 1"):
+            as_embeddings(X)
 
 
 class TestVmfLogDensity:

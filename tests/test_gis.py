@@ -1,6 +1,7 @@
 """Influence scoring, representative selection, prompt export."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -267,6 +268,27 @@ class TestPromptExport:
         reps = RepresentativeSet(indices=[np.array([5])], scores=[np.array([1.0])])
         with pytest.raises(MissingDocumentError):
             export_taxonomy_prompts(reps, ["only one"], tmp_path)
+
+    def test_files_get_open_mode(self, tmp_path):
+        reps = RepresentativeSet(indices=[np.array([0])], scores=[np.array([1.0])])
+        old = os.umask(0o022)
+        try:
+            (path,) = export_taxonomy_prompts(reps, ["doc"], tmp_path)
+        finally:
+            os.umask(old)
+        assert path.stat().st_mode & 0o777 == 0o644
+
+    def test_directory_holds_only_prompts(self, tmp_path):
+        reps = RepresentativeSet(
+            indices=[np.array([0, 1]), np.array([2])],
+            scores=[np.array([2.0, 1.0]), np.array([1.0])],
+        )
+        out = tmp_path / "prompts"
+        export_taxonomy_prompts(reps, ["a", "b", "c"], out)
+        export_taxonomy_prompts(reps, ["a", "b", "c"], out)  # rewrite in place
+        assert sorted(p.name for p in out.iterdir()) == [
+            "cluster_000.prompt.txt", "cluster_001.prompt.txt"
+        ]
 
     def test_template_fields(self):
         assert "{n_docs}" in PROMPT_TEMPLATE and "{docs_content}" in PROMPT_TEMPLATE

@@ -58,7 +58,6 @@ class TestFitConfig:
             {"eps": 1e-2},
             {"kappa_init": -5.0},
             {"estep_sweeps": 0},
-            {"estep_step": 0.0},
         ],
     )
     def test_validate_rejects(self, kwargs):
@@ -164,18 +163,6 @@ class TestEStep:
             pi_t = empirical_mass(gamma)
             before = surrogate_value(theta, gamma, pi_t, X, lam)
             after = surrogate_value(theta, e_step(theta, gamma, X, cfg), pi_t, X, lam)
-            assert after >= before - 1e-9 * max(1.0, abs(before))
-
-    def test_damped_step_still_ascends(self):
-        rng = np.random.default_rng(4)
-        for step in (0.3, 0.7, 1.5):
-            X = random_unit_rows(rng, 30, 5)
-            theta = random_params(rng, 3, 5)
-            gamma = random_gamma(rng, 30, 3)
-            cfg = FitConfig(k=3, lam=100.0, estep_step=step)
-            pi_t = empirical_mass(gamma)
-            before = surrogate_value(theta, gamma, pi_t, X, 100.0)
-            after = surrogate_value(theta, e_step(theta, gamma, X, cfg), pi_t, X, 100.0)
             assert after >= before - 1e-9 * max(1.0, abs(before))
 
     @given(st.integers(2, 20), st.integers(2, 4), st.integers(0, 500))

@@ -36,6 +36,19 @@ def simplex_arrays(k_min=2, k_max=8):
     )
 
 
+class TestMixtureParams:
+    @pytest.mark.parametrize("kappa", [np.nan, -1.0, 2e6])
+    def test_rejects_bad_kappa(self, kappa):
+        theta = MixtureParams(means=np.eye(2), kappas=np.array([1.0, kappa]))
+        with pytest.raises(ValueError):
+            theta.validate()
+
+    def test_rejects_nan_mean(self):
+        theta = MixtureParams(means=np.array([[1.0, 0.0], [np.nan, 0.0]]), kappas=np.ones(2))
+        with pytest.raises(DimensionMismatchError):
+            theta.validate()
+
+
 class TestEmpiricalMass:
     def test_one_hot_counting(self):
         g = np.tile([1.0, 0.0], (3, 1))

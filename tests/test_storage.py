@@ -2,6 +2,7 @@
 models, escaped TSV."""
 
 import json
+import os
 import struct
 
 import numpy as np
@@ -12,14 +13,17 @@ from hypothesis import strategies as st
 from spheremix.distill import FeaturizerSpec, StudentModel
 from spheremix.errors import (
     BadMagicError,
+    MalformedFileError,
     NormFlagViolationError,
     SizeMismatchError,
+    SphereMixError,
     TruncatedPayloadError,
 )
 from spheremix.geometry import normalize
 from spheremix.inference import FitConfig
 from spheremix.objective import MixtureParams
 from spheremix.storage import (
+    atomic_write_bytes,
     config_echo,
     escape_field,
     load_model,
@@ -112,6 +116,39 @@ class TestEmbeddings:
         write_embeddings(np.zeros((2, 2), dtype=np.float32), tmp_path / "emb.bin")
         assert [p.name for p in tmp_path.iterdir()] == ["emb.bin"]
 
+    @pytest.mark.parametrize("flag", [0, 1])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rows_rejected(self, tmp_path, flag, bad):
+        rows = np.array([[1.0, 0.0, 0.0], [0.0, bad, 0.0]], dtype="<f4")
+        path = tmp_path / "nan.bin"
+        path.write_bytes(b"GEMEMB1" + struct.pack("<IQIB", 1, 2, 3, flag) + rows.tobytes())
+        with pytest.raises(MalformedFileError, match="row 1"):
+            read_embeddings(path)
+
+
+class TestAtomicWrite:
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+    def test_mode_is_open_default(self, tmp_path, umask):
+        old = os.umask(umask)
+        try:
+            atomic_write_bytes(tmp_path / "out.bin", b"payload")
+        finally:
+            os.umask(old)
+        assert (tmp_path / "out.bin").stat().st_mode & 0o777 == 0o666 & ~umask
+
+    def test_failed_rename_cleans_up(self, tmp_path, monkeypatch):
+        path = tmp_path / "out.txt"
+        path.write_bytes(b"old")
+
+        def fail(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="rename refused"):
+            atomic_write_bytes(path, b"new")
+        assert path.read_bytes() == b"old"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
 
 class TestModelJson:
     def make_theta(self, k=3, d=5, seed=0):
@@ -157,6 +194,51 @@ class TestModelJson:
         doc["k"] = 5
         path.write_text(json.dumps(doc))
         with pytest.raises(SizeMismatchError):
+            load_model(path)
+
+    def test_invalid_json(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text('{"format": "GEMMODEL1", "k": ')
+        with pytest.raises(MalformedFileError, match="model.json"):
+            load_model(path)
+
+    @pytest.mark.parametrize("key", ["components", "k", "d", "lambda", "mu", "kappa"])
+    def test_missing_key(self, tmp_path, key):
+        path = tmp_path / "model.json"
+        save_model(path, self.make_theta(), lam=1.0, meta={})
+        doc = json.loads(path.read_text())
+        del (doc["components"][0] if key in ("mu", "kappa") else doc)[key]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(MalformedFileError, match=f"model.json.*{key}"):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("components", 5),
+            ("components", "abc"),
+            ("components", []),
+            ("lambda", "heavy"),
+            ("lambda", None),
+            ("mu", "north"),
+            ("mu", [1.0, 0.0]),
+            ("kappa", None),
+            ("kappa", [1.0]),
+        ],
+    )
+    def test_wrong_typed_value(self, tmp_path, field, value):
+        path = tmp_path / "model.json"
+        save_model(path, self.make_theta(), lam=1.0, meta={})
+        doc = json.loads(path.read_text())
+        (doc["components"][0] if field in ("mu", "kappa") else doc)[field] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SphereMixError, match="model.json"):
+            load_model(path)
+
+    def test_not_an_object(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text("[1, 2, 3]")
+        with pytest.raises(MalformedFileError, match="model.json"):
             load_model(path)
 
     def test_config_echo_defaults(self):

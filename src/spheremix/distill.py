@@ -9,7 +9,7 @@ from raw text alone, at constant cost per document.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -146,28 +146,8 @@ def build_pseudo_labeled(
         raise MissingDocumentError(
             f"{X.shape[0]} embeddings but {len(texts)} documents"
         )
-    reps = select_representatives(
-        X, gamma, theta,
-        GisConfig(
-            beta=gis_cfg.beta, eps=gis_cfg.eps,
-            m_neighbors=gis_cfg.m_neighbors, s=m_distill,
-        ),
-    )
-    ids: list[int] = []
-    labs: list[int] = []
-    for k in range(reps.k):
-        for i in reps.indices[k]:
-            ids.append(int(i))
-            labs.append(k)
-    order = np.random.default_rng(seed).permutation(len(ids))
-    ids_arr = np.asarray(ids, dtype=np.int64)[order]
-    labs_arr = np.asarray(labs, dtype=np.int64)[order]
-    return PseudoLabeledSet(
-        texts=[texts[int(i)] for i in ids_arr],
-        labels=labs_arr,
-        source_ids=ids_arr,
-        k=theta.k,
-    ).validate()
+    reps = select_representatives(X, gamma, theta, replace(gis_cfg, s=m_distill))
+    return _shuffled_set(reps.indices, texts, theta.k, np.random.default_rng(seed))
 
 
 def balanced_random_sample(
@@ -179,23 +159,28 @@ def balanced_random_sample(
     if labels.size != len(texts):
         raise MissingDocumentError(f"{labels.size} labels but {len(texts)} documents")
     rng = np.random.default_rng(seed)
-    ids: list[int] = []
-    labs: list[int] = []
+    per_class = []
     for c in range(k):
         members = np.flatnonzero(labels == c)
         if members.size > m_per_class:
             members = rng.choice(members, size=m_per_class, replace=False)
-        for i in np.sort(members):
-            ids.append(int(i))
-            labs.append(c)
-    order = rng.permutation(len(ids))
-    ids_arr = np.asarray(ids, dtype=np.int64)[order]
-    labs_arr = np.asarray(labs, dtype=np.int64)[order]
+        per_class.append(np.sort(members))
+    return _shuffled_set(per_class, texts, k, rng)
+
+
+def _shuffled_set(
+    per_class: list[np.ndarray], texts: list[str], k: int, rng: np.random.Generator
+) -> PseudoLabeledSet:
+    """Records for per-class corpus ids, labelled by class and put in the
+    order of one rng permutation."""
+    ids = np.asarray([int(i) for members in per_class for i in members], dtype=np.int64)
+    labs = np.asarray(
+        [c for c, members in enumerate(per_class) for _ in members], dtype=np.int64
+    )
+    order = rng.permutation(ids.size)
+    ids, labs = ids[order], labs[order]
     return PseudoLabeledSet(
-        texts=[texts[int(i)] for i in ids_arr],
-        labels=labs_arr,
-        source_ids=ids_arr,
-        k=k,
+        texts=[texts[int(i)] for i in ids], labels=labs, source_ids=ids, k=k
     ).validate()
 
 
@@ -218,11 +203,26 @@ def split_dataset(
     )
 
 
-def _scores_for(features: dict[int, float], model: StudentModel) -> np.ndarray:
-    s = model.bias.astype(np.float64).copy()
-    for b, v in features.items():
-        s += model.weights[b].astype(np.float64) * v
-    return s
+def _sparse(features: dict[int, float]) -> tuple[np.ndarray, np.ndarray]:
+    """featurize's dict as parallel bucket-index and value arrays, in the
+    dict's order. The buckets are unique."""
+    n = len(features)
+    return (
+        np.fromiter(features.keys(), dtype=np.intp, count=n),
+        np.fromiter(features.values(), dtype=np.float64, count=n),
+    )
+
+
+def _scores(w: np.ndarray, b: np.ndarray, idx: np.ndarray, val: np.ndarray) -> np.ndarray:
+    """Float64 class scores b + sum_j val_j * w[idx_j] for one document.
+
+    w and b may be the float64 training state or the float32 saved model;
+    float32 rows are widened exactly before the multiply. The contributions
+    are added to the bias one feature at a time, in feature order: summing
+    axis 0 of a C-ordered (m, k > 1) array adds its rows in sequence.
+    """
+    rows = w[idx].astype(np.float64, copy=False) * val[:, None]
+    return np.concatenate((b[None, :].astype(np.float64, copy=False), rows)).sum(axis=0)
 
 
 def _softmax(s: np.ndarray) -> np.ndarray:
@@ -255,7 +255,7 @@ def train_student(
     if not lr > 0.0:
         raise ValueError(f"lr must be > 0, got {lr}")
 
-    feats = [featurize(t, spec) for t in ds.texts]
+    feats = [_sparse(featurize(t, spec)) for t in ds.texts]
     k = ds.k
     w = np.zeros((spec.buckets, k), dtype=np.float64)
     b = np.zeros(k, dtype=np.float64)
@@ -268,33 +268,23 @@ def train_student(
         for i in rng.permutation(n):
             rate = lr * (1.0 - step / total_steps)
             step += 1
-            f = feats[i]
-            s = b.copy()
-            for bucket, v in f.items():
-                s += w[bucket] * v
-            p = _softmax(s)
+            idx, val = feats[i]
+            p = _softmax(_scores(w, b, idx, val))
             p[ds.labels[i]] -= 1.0  # gradient of CE wrt scores
             b -= rate * p
-            for bucket, v in f.items():
-                w[bucket] -= rate * v * p
-        losses.append(_mean_ce(feats, ds.labels, w, b))
+            w[idx] -= (rate * val)[:, None] * p
+        total = 0.0
+        for (idx, val), y in zip(feats, ds.labels):
+            s = _scores(w, b, idx, val)
+            s -= s.max()
+            total += float(np.log(np.exp(s).sum()) - s[y])
+        losses.append(total / n)
     return StudentModel(
         weights=w.astype(np.float32),
         bias=b.astype(np.float32),
         featurizer=spec,
         loss_trace=np.asarray(losses),
     )
-
-
-def _mean_ce(feats, labels, w, b) -> float:
-    total = 0.0
-    for f, y in zip(feats, labels):
-        s = b.copy()
-        for bucket, v in f.items():
-            s += w[bucket] * v
-        s -= s.max()
-        total += float(np.log(np.exp(s).sum()) - s[y])
-    return total / len(feats)
 
 
 def predict_student(model: StudentModel, text: str) -> tuple[np.ndarray, int]:
@@ -304,7 +294,8 @@ def predict_student(model: StudentModel, text: str) -> tuple[np.ndarray, int]:
     size. Empty text scores as the softmax of the bias alone. Ties resolve
     to the lowest index.
     """
-    probs = _softmax(_scores_for(featurize(text, model.featurizer), model))
+    idx, val = _sparse(featurize(text, model.featurizer))
+    probs = _softmax(_scores(model.weights, model.bias, idx, val))
     return probs, int(np.argmax(probs))
 
 

@@ -112,6 +112,11 @@ def log_vmf_norm_const(d: int, kappa: float) -> float:
     return nu * math.log(kappa) - (d / 2.0) * math.log(2.0 * math.pi) - log_bessel_i(nu, kappa)
 
 
+def log_vmf_norm_consts(d: int, kappas: np.ndarray) -> np.ndarray:
+    """log C_d(kappa) for each concentration in kappas, as one vector."""
+    return np.array([log_vmf_norm_const(d, float(kap)) for kap in kappas])
+
+
 def vmf_log_density(x: np.ndarray, mu: np.ndarray, kappa: float) -> float | np.ndarray:
     """log f(x | mu, kappa) = log C_d(kappa) + kappa mu.x.
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import TooFewPointsError
-from .geometry import KAPPA_MAX, as_embeddings, normalize
+from .geometry import KAPPA_MAX, as_embeddings, log_vmf_norm_consts, normalize
 from .objective import (
     MixtureParams,
     balance_gradient,
@@ -209,10 +209,7 @@ def _component_loglik(
 ) -> np.ndarray:
     """Per-component complete-data log-likelihood pieces
     n_k log C_d(kappa_k) + kappa_k <mu_k, r_k>, with dots = <mu_k, r_k>."""
-    from .geometry import log_vmf_norm_const
-
-    log_c = np.array([log_vmf_norm_const(d, float(kap)) for kap in kappas])
-    return n_k * log_c + kappas * dots
+    return n_k * log_vmf_norm_consts(d, kappas) + kappas * dots
 
 
 def _m_step(

@@ -20,7 +20,7 @@ import numpy as np
 from scipy import special
 
 from .errors import DimensionMismatchError, SizeMismatchError
-from .geometry import KAPPA_MAX, log_vmf_norm_const
+from .geometry import KAPPA_MAX, log_vmf_norm_consts
 
 _ROW_SUM_ATOL = 1e-9
 
@@ -116,9 +116,7 @@ def log_component_scores(X: np.ndarray, theta: MixtureParams) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.shape[1] != theta.d:
         raise DimensionMismatchError(f"X has d={X.shape[1]}, theta has d={theta.d}")
-    log_c = np.array(
-        [log_vmf_norm_const(theta.d, float(kap)) for kap in theta.kappas]
-    )
+    log_c = log_vmf_norm_consts(theta.d, theta.kappas)
     return X @ theta.means.T * theta.kappas[None, :] + log_c[None, :] - np.log(theta.k)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import secrets
 import struct
 from pathlib import Path
@@ -91,6 +92,8 @@ def read_embeddings(path: str | Path) -> np.ndarray:
         raise TruncatedPayloadError(f"{path}: header truncated") from exc
     if version != EMB_VERSION:
         raise BadMagicError(f"{path}: unsupported version {version}")
+    if d < 1:
+        raise MalformedFileError(f"{path}: header declares d={d}, need d >= 1")
     off += struct.calcsize("<IQIB")
     need = n * d * 4
     if len(blob) - off < need:
@@ -197,6 +200,12 @@ def load_student(path: str | Path) -> StudentModel:
         buckets, k, ngram_max, hash_seed = struct.unpack_from("<IIII", blob, off)
     except struct.error as exc:
         raise TruncatedPayloadError(f"{path}: header truncated") from exc
+    try:
+        spec = FeaturizerSpec(buckets, ngram_max, hash_seed).validate()
+    except ValueError as exc:
+        raise MalformedFileError(f"{path}: bad GEMSTU1 header ({exc})") from exc
+    if k < 1:
+        raise MalformedFileError(f"{path}: bad GEMSTU1 header (k must be >= 1, got {k})")
     off += struct.calcsize("<IIII")
     need = (k + buckets * k) * 4
     if len(blob) - off < need:
@@ -210,11 +219,9 @@ def load_student(path: str | Path) -> StudentModel:
         .reshape(buckets, k)
         .copy()
     )
-    return StudentModel(
-        weights=weights,
-        bias=bias,
-        featurizer=FeaturizerSpec(buckets=buckets, ngram_max=ngram_max, hash_seed=hash_seed),
-    )
+    if not (np.isfinite(bias).all() and np.isfinite(weights).all()):
+        raise MalformedFileError(f"{path}: bias or weights hold a NaN or infinite value")
+    return StudentModel(weights=weights, bias=bias, featurizer=spec)
 
 
 # ---------------------------------------------------------------- escaped TSV
@@ -228,21 +235,14 @@ def escape_field(s: str) -> str:
     return s
 
 
+_UNESCAPE = re.compile(r"\\([\\tnr])")
+_UNESCAPES = {"\\": "\\", "t": "\t", "n": "\n", "r": "\r"}
+
+
 def unescape_field(s: str) -> str:
-    out = []
-    i = 0
-    while i < len(s):
-        c = s[i]
-        if c == "\\" and i + 1 < len(s):
-            nxt = s[i + 1]
-            mapped = {"\\": "\\", "t": "\t", "n": "\n", "r": "\r"}.get(nxt)
-            if mapped is not None:
-                out.append(mapped)
-                i += 2
-                continue
-        out.append(c)
-        i += 1
-    return "".join(out)
+    """Inverse of escape_field. Any other backslash, such as one before a
+    different character or at the end, is kept literally."""
+    return _UNESCAPE.sub(lambda m: _UNESCAPES[m.group(1)], s)
 
 
 def write_dataset_tsv(path: str | Path, labels: np.ndarray, texts: list[str]) -> None:

@@ -288,3 +288,69 @@ class TestSerializationRoundTrip:
             pb, ib = predict_student(back, text)
             np.testing.assert_array_equal(pa, pb)
             assert ia == ib
+
+
+def _reference_train(ds, epochs, lr, seed, spec):
+    """Per-feature SGD loop: the student's arithmetic written out one bucket
+    at a time, to pin train_student bit for bit."""
+    feats = [featurize(t, spec) for t in ds.texts]
+    w = np.zeros((spec.buckets, ds.k))
+    b = np.zeros(ds.k)
+
+    def scores(f):
+        s = b.copy()
+        for bucket, v in f.items():
+            s += w[bucket] * v
+        return s
+
+    rng = np.random.default_rng(seed)
+    n = len(ds)
+    step = 0
+    losses = []
+    for _ in range(epochs):
+        for i in rng.permutation(n):
+            rate = lr * (1.0 - step / (epochs * n))
+            step += 1
+            s = scores(feats[i])
+            e = np.exp(s - s.max())
+            p = e / e.sum()
+            p[ds.labels[i]] -= 1.0
+            b -= rate * p
+            for bucket, v in feats[i].items():
+                w[bucket] -= rate * v * p
+        total = 0.0
+        for f, y in zip(feats, ds.labels):
+            s = scores(f)
+            s -= s.max()
+            total += float(np.log(np.exp(s).sum()) - s[y])
+        losses.append(total / n)
+    return w.astype(np.float32), b.astype(np.float32), np.asarray(losses)
+
+
+def _reference_predict(model, text):
+    s = model.bias.astype(np.float64).copy()
+    for bucket, v in featurize(text, model.featurizer).items():
+        s += model.weights[bucket].astype(np.float64) * v
+    e = np.exp(s - s.max())
+    return e / e.sum()
+
+
+class TestStudentOracle:
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_matches_per_feature_loop(self, k):
+        ds = toy_dataset(n_per_class=15, k=k, seed=k)
+        texts = list(ds.texts)
+        texts[0] = ""  # an empty document trains the bias alone
+        texts[1] = "alpha alpha alpha beta rocket_ocean"
+        ds = PseudoLabeledSet(texts, ds.labels, ds.source_ids, k).validate()
+        spec = FeaturizerSpec(buckets=1 << 10, ngram_max=3, hash_seed=7)
+        w, b, losses = _reference_train(ds, epochs=4, lr=0.3, seed=11, spec=spec)
+        model = train_student(ds, epochs=4, lr=0.3, seed=11, spec=spec)
+        np.testing.assert_array_equal(model.weights, w)
+        np.testing.assert_array_equal(model.bias, b)
+        np.testing.assert_array_equal(model.loss_trace, losses)
+        for text in ds.texts[:6] + ["", "   ", "zzz qqq unseen words", "Alpha OCEAN fern"]:
+            probs, label = predict_student(model, text)
+            want = _reference_predict(model, text)
+            np.testing.assert_array_equal(probs, want)
+            assert label == int(np.argmax(want))

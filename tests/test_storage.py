@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from spheremix.distill import FeaturizerSpec, StudentModel
+from spheremix.distill import FeaturizerSpec, StudentModel, predict_student
 from spheremix.errors import (
     BadMagicError,
     MalformedFileError,
@@ -40,6 +40,13 @@ from spheremix.storage import (
     write_labels,
     write_texts,
 )
+
+def student_blob(buckets, k, ngram_max, hash_seed, payload=None):
+    """A GEMSTU1 file image; the payload defaults to zeros of the declared size."""
+    if payload is None:
+        payload = bytes(4 * (k + buckets * k))
+    return b"GEMSTU1" + struct.pack("<IIII", buckets, k, ngram_max, hash_seed) + payload
+
 
 NASTY = ["plain", "tab\there", "new\nline", "back\\slash", "cr\rhere",
          "\\t literal", "", "mix\t\n\\\r end", "unicode é中"]
@@ -91,6 +98,13 @@ class TestEmbeddings:
         path = tmp_path / "junk.bin"
         path.write_bytes(b"NOTEMB1" + b"\x00" * 40)
         with pytest.raises(BadMagicError):
+            read_embeddings(path)
+
+    def test_zero_width_rows_rejected(self, tmp_path):
+        # d=0 declares no payload however large n is
+        path = tmp_path / "wide.bin"
+        path.write_bytes(b"GEMEMB1" + struct.pack("<IQIB", 1, 2**62, 0, 0))
+        with pytest.raises(MalformedFileError, match="wide.bin"):
             read_embeddings(path)
 
     def test_bad_version(self, tmp_path):
@@ -292,6 +306,26 @@ class TestStudentFile:
         with pytest.raises(BadMagicError):
             load_student(path)
 
+    @pytest.mark.parametrize(
+        "field, value", [("buckets", 0), ("k", 0), ("ngram_max", 0), ("ngram_max", 99)]
+    )
+    def test_bad_header_field(self, tmp_path, field, value):
+        header = dict(buckets=4, k=2, ngram_max=2, hash_seed=0)
+        header[field] = value
+        path = tmp_path / "student.bin"
+        path.write_bytes(student_blob(**header))
+        with pytest.raises(MalformedFileError, match="student.bin"):
+            load_student(path)
+
+    @pytest.mark.parametrize("row", [0, 3])  # the bias row, then a weight row
+    def test_non_finite_values_rejected(self, tmp_path, row):
+        values = np.zeros((1 + 4, 2), dtype="<f4")
+        values[row, 1] = np.nan if row else np.inf
+        path = tmp_path / "student.bin"
+        path.write_bytes(student_blob(4, 2, 2, 0, values.tobytes()))
+        with pytest.raises(MalformedFileError, match="student.bin"):
+            load_student(path)
+
     def test_shape_mismatch_on_save(self, tmp_path):
         model = self.make_model()
         bad = StudentModel(
@@ -316,6 +350,14 @@ class TestEscapedTsv:
     @given(st.text(max_size=60))
     def test_escape_inverse_property(self, s):
         assert unescape_field(escape_field(s)) == s
+
+    @pytest.mark.parametrize(
+        "raw, want",
+        [("\\x", "\\x"), ("end\\", "end\\"), ("\\", "\\"), ("\\\\n", "\\n"),
+         ("\\\\\\t", "\\\t")],
+    )
+    def test_non_escapes_kept_literally(self, raw, want):
+        assert unescape_field(raw) == want
 
     def test_dataset_round_trip(self, tmp_path):
         labels = np.arange(len(NASTY)) % 3
@@ -345,3 +387,40 @@ class TestEscapedTsv:
         write_texts(path, NASTY)
         raw = path.read_text(encoding="utf-8")
         assert raw.count("\n") == len(NASTY)
+
+
+class TestBinaryReadersFuzz:
+    """Whatever the bytes, a reader gives a result or a SphereMixError."""
+
+    @pytest.mark.parametrize("reader", [read_embeddings, load_student])
+    @given(
+        prefix=st.sampled_from([b"", b"GEMEMB1", b"GEMEMB1\x01\0\0\0", b"GEMSTU1"]),
+        rest=st.binary(max_size=96),
+    )
+    def test_arbitrary_bytes(self, tmp_path_factory, reader, prefix, rest):
+        path = tmp_path_factory.getbasetemp() / "fuzz.bin"
+        path.write_bytes(prefix + rest)
+        try:
+            reader(path)
+        except SphereMixError:
+            pass
+
+    @given(
+        buckets=st.integers(0, 64),
+        k=st.integers(0, 8),
+        ngram_max=st.integers(0, 2**32 - 1),
+        hash_seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_small_student_headers(self, tmp_path_factory, buckets, k, ngram_max,
+                                   hash_seed, data):
+        payload = data.draw(st.binary(min_size=4 * (k + buckets * k),
+                                      max_size=4 * (k + buckets * k)))
+        path = tmp_path_factory.getbasetemp() / "fuzz_student.bin"
+        path.write_bytes(student_blob(buckets, k, ngram_max, hash_seed, payload))
+        try:
+            probs, label = predict_student(load_student(path), "The quick brown fox")
+        except SphereMixError:
+            return
+        assert abs(probs.sum() - 1.0) <= 1e-9
+        assert 0 <= label < k

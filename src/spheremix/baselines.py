@@ -106,7 +106,7 @@ def spherical_kmeans_fit(
     (Dhillon & Modha 2001): init_spherical_kmeans on the normalized rows,
     each point labelled by its nearest final centroid."""
     Xu = normalize(X)
-    theta, _ = init_spherical_kmeans(Xu, k, seed, max_rounds=max_rounds)
+    theta = init_spherical_kmeans(Xu, k, seed, max_rounds=max_rounds)
     return HardPartition(labels=np.argmax(Xu @ theta.means.T, axis=1), k=k).validate()
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import logsumexp
 
 from .errors import TooFewPointsError
 from .geometry import KAPPA_MAX, as_embeddings, log_vmf_norm_consts, normalize
@@ -21,6 +22,7 @@ from .objective import (
     check_responsibilities,
     log_component_scores,
     objective_from_scores,
+    posterior,
     softmax_rows,
     surrogate_from_scores,
 )
@@ -70,6 +72,12 @@ class FitConfig:
 
 @dataclass(frozen=True)
 class FitResult:
+    """Output of fit(). gamma is the last balance-shifted E-step iterate,
+    the one objective_trace[-1] is evaluated at (with theta); it is not the
+    posterior of theta. assign, gis and distill use posterior(theta), which
+    a saved model reproduces, so their labels can differ from hard_labels
+    on a small fraction of points."""
+
     theta: MixtureParams
     gamma: np.ndarray
     objective_trace: np.ndarray  # one entry per completed iteration
@@ -88,10 +96,10 @@ def init_spherical_kmeans(
     seed: int,
     kappa_init: float = 1.0,
     max_rounds: int = 100,
-) -> tuple[MixtureParams, np.ndarray]:
+) -> MixtureParams:
     """Spherical k-means initializer: cosine k-means++ seeding, then Lloyd
     rounds with normalized-resultant centroids. Returns mean directions
-    with every kappa set to kappa_init, and uniform responsibilities."""
+    with every kappa set to kappa_init."""
     X = as_embeddings(X)
     n, d = X.shape
     if n < k:
@@ -126,21 +134,12 @@ def init_spherical_kmeans(
             break
         labels = new_labels
 
-    theta = MixtureParams(
-        means=centers, kappas=np.full(k, float(kappa_init))
-    ).validate()
-    gamma = np.full((n, k), 1.0 / k)
-    return theta, gamma
+    return MixtureParams(means=centers, kappas=np.full(k, float(kappa_init))).validate()
 
 
-def e_step(
-    theta: MixtureParams,
-    gamma: np.ndarray,
-    X: np.ndarray,
-    cfg: FitConfig,
-    scores: np.ndarray | None = None,
-) -> np.ndarray:
-    """One surrogate ascent in gamma at fixed theta.
+def e_step(scores: np.ndarray, gamma: np.ndarray, cfg: FitConfig) -> np.ndarray:
+    """One surrogate ascent in gamma at fixed theta, given theta's (n, k)
+    component scores (log_component_scores).
 
     Runs cfg.estep_sweeps rounds of row-wise closed-form updates
     (softmax of the component scores shifted by the per-cluster balance
@@ -154,8 +153,6 @@ def e_step(
     """
     gamma = check_responsibilities(gamma)
     n = gamma.shape[0]
-    if scores is None:
-        scores = log_component_scores(X, theta)
     pi_anchor = gamma.mean(axis=0)
     grad_anchor = balance_gradient(pi_anchor, cfg.lam)
 
@@ -172,14 +169,13 @@ def e_step(
     return best
 
 
-def m_step_mu(gamma: np.ndarray, X: np.ndarray, eps: float = 1e-8) -> np.ndarray:
-    """Closed-form mean directions: normalized responsibility-weighted sums.
+def m_step_mu(r: np.ndarray, eps: float = 1e-8) -> np.ndarray:
+    """Closed-form mean directions from the (k, d) resultants
+    r_k = sum_i gamma_ik x_i: each row normalized.
 
     Rows whose resultant vanishes entirely are returned as zero vectors;
     fit() reseeds such clusters before the result is used.
     """
-    gamma = check_responsibilities(gamma)
-    r = gamma.T @ np.asarray(X, dtype=np.float64)
     norms = np.linalg.norm(r, axis=1)
     means = r / (norms + eps)[:, None]
     live = norms > 0.0
@@ -187,18 +183,15 @@ def m_step_mu(gamma: np.ndarray, X: np.ndarray, eps: float = 1e-8) -> np.ndarray
     return means
 
 
-def m_step_kappa(gamma: np.ndarray, X: np.ndarray, eps: float = 1e-8) -> np.ndarray:
-    """Closed-form concentrations from the mean resultant length.
+def m_step_kappa(r: np.ndarray, n_k: np.ndarray, eps: float = 1e-8) -> np.ndarray:
+    """Closed-form concentrations from the (k, d) resultants r_k and the
+    masses n_k = sum_i gamma_ik.
 
-    R_k = ||sum_i gamma_ik x_i|| / (sum_i gamma_ik + eps), clamped into
-    [0, 1 - 1e-6]; kappa_k = (R_k d - R_k^3) / (1 - R_k^2), clamped into
-    [0, KAPPA_MAX].
+    R_k = ||r_k|| / (n_k + eps), clamped into [0, 1 - 1e-6];
+    kappa_k = (R_k d - R_k^3) / (1 - R_k^2), clamped into [0, KAPPA_MAX].
     """
-    gamma = check_responsibilities(gamma)
-    X = np.asarray(X, dtype=np.float64)
-    d = X.shape[1]
-    r = gamma.T @ X
-    rbar = np.linalg.norm(r, axis=1) / (gamma.sum(axis=0) + eps)
+    d = r.shape[1]
+    rbar = np.linalg.norm(r, axis=1) / (n_k + eps)
     rbar = np.clip(rbar, 0.0, 1.0 - 1e-6)
     kappa = (rbar * d - rbar**3) / (1.0 - rbar**2)
     return np.clip(kappa, 0.0, KAPPA_MAX)
@@ -227,20 +220,17 @@ def _m_step(
     (the concentration formula is an approximation, so this keeps the
     objective trace monotone).
     """
-    n, k = gamma.shape
-    d = X.shape[1]
+    n, d = X.shape
     r = gamma.T @ X
     n_k = gamma.sum(axis=0)
 
-    mu_new = m_step_mu(gamma, X, cfg.eps)
-    kappa_new = m_step_kappa(gamma, X, cfg.eps)
+    mu_new = m_step_mu(r, cfg.eps)
+    kappa_new = m_step_kappa(r, n_k, cfg.eps)
 
     empty = n_k < _EMPTY_FACTOR * cfg.eps * n
     if np.any(empty):
         # Worst-explained points under the pre-update model, one per
         # reseeded cluster so duplicates get distinct directions.
-        from scipy.special import logsumexp
-
         order = np.argsort(logsumexp(scores, axis=1))
         for slot, j in enumerate(np.flatnonzero(empty)):
             mu_new[j] = X[order[slot % n]]
@@ -277,14 +267,15 @@ def fit(X: np.ndarray, cfg: FitConfig) -> FitResult:
     cfg.validate(n)
     tol = cfg.resolved_tol(n)
 
-    theta, gamma = init_spherical_kmeans(X, cfg.k, cfg.seed, cfg.kappa_init)
+    theta = init_spherical_kmeans(X, cfg.k, cfg.seed, cfg.kappa_init)
+    gamma = np.full((n, cfg.k), 1.0 / cfg.k)
     scores = log_component_scores(X, theta)
 
     trace: list[float] = []
     prev = None
     converged = False
     for _ in range(cfg.max_iters):
-        gamma = e_step(theta, gamma, X, cfg, scores=scores)
+        gamma = e_step(scores, gamma, cfg)
         theta = _m_step(theta, gamma, X, cfg, scores)
         scores = log_component_scores(X, theta)
         value = objective_from_scores(scores, gamma, cfg.lam)
@@ -306,8 +297,6 @@ def fit(X: np.ndarray, cfg: FitConfig) -> FitResult:
 
 def assign(theta: MixtureParams, x: np.ndarray) -> tuple[np.ndarray, int]:
     """Posterior responsibilities and argmax cluster for a single point."""
-    from .objective import posterior
-
     x = np.asarray(x, dtype=np.float64)
     probs = posterior(theta, x[None, :])[0]
     return probs, int(np.argmax(probs))

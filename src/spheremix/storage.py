@@ -8,6 +8,7 @@ partial output is never observable.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import re
@@ -161,15 +162,10 @@ def load_model(path: str | Path) -> tuple[MixtureParams, float, dict]:
 
 
 def config_echo(cfg: FitConfig) -> dict:
+    """Every FitConfig field in declaration order, lam spelled "lambda"."""
     return {
-        "k": cfg.k,
-        "lambda": cfg.lam,
-        "max_iters": cfg.max_iters,
-        "stop_tol": cfg.stop_tol,
-        "eps": cfg.eps,
-        "kappa_init": cfg.kappa_init,
-        "estep_sweeps": cfg.estep_sweeps,
-        "seed": cfg.seed,
+        "lambda" if f.name == "lam" else f.name: getattr(cfg, f.name)
+        for f in dataclasses.fields(cfg)
     }
 
 
@@ -212,14 +208,16 @@ def load_student(path: str | Path) -> StudentModel:
         raise TruncatedPayloadError(
             f"{path}: payload holds {len(blob) - off} bytes, header declares {need}"
         )
-    bias = np.frombuffer(blob, dtype="<f4", count=k, offset=off).copy()
-    off += k * 4
-    weights = (
-        np.frombuffer(blob, dtype="<f4", count=buckets * k, offset=off)
-        .reshape(buckets, k)
-        .copy()
-    )
-    if not (np.isfinite(bias).all() and np.isfinite(weights).all()):
+    # Read-only views on the file's bytes: no copy of the weights is made.
+    bias = np.frombuffer(blob, dtype="<f4", count=k, offset=off)
+    weights = np.frombuffer(blob, dtype="<f4", count=buckets * k, offset=off + k * 4)
+    weights = weights.reshape(buckets, k)
+    # A float64 sum of float32 values cannot overflow, so it is finite exactly
+    # when every value is (inf - inf gives NaN); it needs no full-size
+    # boolean temporary.
+    with np.errstate(invalid="ignore"):
+        total = bias.sum(dtype=np.float64) + weights.sum(dtype=np.float64)
+    if not np.isfinite(total):
         raise MalformedFileError(f"{path}: bias or weights hold a NaN or infinite value")
     return StudentModel(weights=weights, bias=bias, featurizer=spec)
 

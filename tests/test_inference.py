@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import random_gamma, random_params, random_unit_rows
 from spheremix.errors import TooFewPointsError
-from spheremix.geometry import normalize, sample_vmf
+from spheremix.geometry import KAPPA_MAX, normalize, sample_vmf
 from spheremix.inference import (
     FitConfig,
     FitResult,
@@ -72,12 +72,11 @@ class TestFitConfig:
 class TestInitSphericalKmeans:
     def test_orthogonal_points_fixed_point(self):
         X = np.eye(4)
-        theta, gamma = init_spherical_kmeans(X, 4, seed=0)
+        theta = init_spherical_kmeans(X, 4, seed=0)
         # centroids must be a permutation of the points themselves
         match = np.abs(theta.means @ X.T)
         assert np.allclose(np.sort(match.max(axis=1)), 1.0, atol=1e-9)
         assert np.allclose(match.sum(), 4.0, atol=1e-9)
-        np.testing.assert_allclose(gamma, 0.25)
         np.testing.assert_array_equal(theta.kappas, 1.0)
 
     def test_antipodal_caps(self):
@@ -85,7 +84,7 @@ class TestInitSphericalKmeans:
         top = sample_vmf(pole, 200.0, 100, seed=1)
         bot = sample_vmf(-pole, 200.0, 100, seed=2)
         X = np.vstack([top, bot])
-        theta, _ = init_spherical_kmeans(X, 2, seed=3)
+        theta = init_spherical_kmeans(X, 2, seed=3)
         dots = theta.means @ pole
         # one centroid per cap, each within 0.1 rad of its cap center
         assert np.min(np.abs(dots)) >= math.cos(0.1)
@@ -94,8 +93,8 @@ class TestInitSphericalKmeans:
     def test_deterministic(self):
         rng = np.random.default_rng(4)
         X = random_unit_rows(rng, 120, 6)
-        a, _ = init_spherical_kmeans(X, 5, seed=11)
-        b, _ = init_spherical_kmeans(X, 5, seed=11)
+        a = init_spherical_kmeans(X, 5, seed=11)
+        b = init_spherical_kmeans(X, 5, seed=11)
         np.testing.assert_array_equal(a.means, b.means)
 
     def test_too_few_points(self):
@@ -110,7 +109,7 @@ class TestEStep:
         theta = random_params(rng, 3, 6)
         gamma0 = random_gamma(rng, 40, 3)
         cfg = FitConfig(k=3, lam=0.0, estep_sweeps=1)
-        out = e_step(theta, gamma0, X, cfg)
+        out = e_step(log_component_scores(X, theta), gamma0, cfg)
         np.testing.assert_allclose(out, posterior(theta, X), atol=1e-12)
 
     def test_lam_zero_posterior_is_global_max(self):
@@ -127,7 +126,8 @@ class TestEStep:
     def test_single_point_single_cluster_unchanged(self):
         theta = MixtureParams(means=np.eye(3)[:1], kappas=np.array([2.0]))
         gamma = np.ones((1, 1))
-        out = e_step(theta, gamma, normalize(np.ones((1, 3))), FitConfig(k=1, lam=10.0))
+        scores = log_component_scores(normalize(np.ones((1, 3))), theta)
+        out = e_step(scores, gamma, FitConfig(k=1, lam=10.0))
         np.testing.assert_array_equal(out, gamma)
 
     def test_beats_grid_oracle(self):
@@ -141,9 +141,9 @@ class TestEStep:
         anchor = np.full((4, 2), 0.5)
         pi_t = empirical_mass(anchor)
         cfg = FitConfig(k=2, lam=10.0, estep_sweeps=50)
-        got = surrogate_value(theta, e_step(theta, anchor, X, cfg), pi_t, X, 10.0)
-
         scores = log_component_scores(X, theta)
+        got = surrogate_value(theta, e_step(scores, anchor, cfg), pi_t, X, 10.0)
+
         grid = np.linspace(0.0, 1.0, 10)
         best = -np.inf
         for combo in itertools.product(grid, repeat=4):
@@ -162,7 +162,9 @@ class TestEStep:
             cfg = FitConfig(k=k, lam=lam)
             pi_t = empirical_mass(gamma)
             before = surrogate_value(theta, gamma, pi_t, X, lam)
-            after = surrogate_value(theta, e_step(theta, gamma, X, cfg), pi_t, X, lam)
+            after = surrogate_value(
+                theta, e_step(log_component_scores(X, theta), gamma, cfg), pi_t, X, lam
+            )
             assert after >= before - 1e-9 * max(1.0, abs(before))
 
     @given(st.integers(2, 20), st.integers(2, 4), st.integers(0, 500))
@@ -172,7 +174,7 @@ class TestEStep:
         X = random_unit_rows(rng, n, 4)
         theta = random_params(rng, k, 4)
         gamma = random_gamma(rng, n, k)
-        out = e_step(theta, gamma, X, FitConfig(k=k, lam=5000.0))
+        out = e_step(log_component_scores(X, theta), gamma, FitConfig(k=k, lam=5000.0))
         np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-9)
         assert np.all(out >= 0)
 
@@ -180,45 +182,60 @@ class TestEStep:
 class TestMStep:
     def test_single_point_full_weight(self):
         x = normalize(np.array([[1.0, 2.0, -2.0]]))
-        np.testing.assert_allclose(m_step_mu(np.ones((1, 1)), x)[0], x[0], atol=1e-8)
+        np.testing.assert_allclose(m_step_mu(np.ones((1, 1)).T @ x)[0], x[0], atol=1e-8)
 
     def test_equal_weight_two_basis_points(self):
         X = np.eye(3)[:2]
-        mu = m_step_mu(np.ones((2, 1)), X)[0]
+        mu = m_step_mu(np.ones((2, 1)).T @ X)[0]
         np.testing.assert_allclose(mu, np.array([1.0, 1.0, 0.0]) / math.sqrt(2), atol=1e-9)
 
     def test_mu_matches_hand_normalized_resultants(self):
         rng = np.random.default_rng(5)
         X = random_unit_rows(rng, 200, 12)
         gamma = random_gamma(rng, 200, 4)
-        got = m_step_mu(gamma, X)
+        got = m_step_mu(gamma.T @ X)
         for k in range(4):
             r = (gamma[:, k][:, None] * X).sum(axis=0)
             np.testing.assert_allclose(got[k], r / np.linalg.norm(r), atol=1e-9)
 
     def test_zero_column_gives_zero_row(self):
         gamma = np.array([[1.0, 0.0], [1.0, 0.0]])
-        out = m_step_mu(gamma, np.eye(2))
+        out = m_step_mu(gamma.T @ np.eye(2))
         assert float(np.linalg.norm(out[1])) < 1e-6
 
     def test_kappa_zero_resultant(self):
         X = np.array([[1.0, 0.0], [-1.0, 0.0]])
-        assert m_step_kappa(np.ones((2, 1)), X)[0] == 0.0
+        assert m_step_kappa(X.sum(axis=0)[None, :], np.array([2.0]))[0] == 0.0
 
     def test_kappa_hand_value_d4(self):
         # two unit vectors at 120 degrees: rbar = 1/2, d = 4 -> kappa = 2.5
         X = np.array([[1.0, 0.0, 0.0, 0.0], [-0.5, math.sqrt(3) / 2, 0.0, 0.0]])
-        kap = m_step_kappa(np.ones((2, 1)), X)[0]
+        kap = m_step_kappa(X.sum(axis=0)[None, :], np.array([2.0]))[0]
         assert abs(kap - 2.5) <= 1e-6
 
     def test_kappa_clamped_at_max(self):
         X = np.tile(normalize(np.ones(4)), (3, 1))
-        kap = m_step_kappa(np.ones((3, 1)), X)[0]
+        kap = m_step_kappa(X.sum(axis=0)[None, :], np.array([3.0]))[0]
         assert kap <= 1e6
+
+    def test_kappa_soft_gamma_matches_hand_loop(self):
+        # Soft responsibilities, so every mass n_k sits well below n.
+        rng = np.random.default_rng(15)
+        n, k, d, eps = 150, 4, 7, 1e-8
+        X = sample_vmf(np.eye(d)[0], 20.0, n, seed=15)
+        gamma = random_gamma(rng, n, k)
+        got = m_step_kappa(gamma.T @ X, gamma.sum(axis=0), eps)
+        for j in range(k):
+            r = sum(gamma[i, j] * X[i] for i in range(n))
+            n_j = sum(gamma[i, j] for i in range(n))
+            assert n_j < 0.5 * n
+            rbar = min(max(float(np.linalg.norm(r)) / (n_j + eps), 0.0), 1.0 - 1e-6)
+            kap = min(max((rbar * d - rbar**3) / (1.0 - rbar**2), 0.0), KAPPA_MAX)
+            assert got[j] == pytest.approx(kap, rel=1e-9)
 
     def test_kappa_round_trip(self):
         X = sample_vmf(np.eye(16)[0], 50.0, 100_000, seed=6)
-        kap = m_step_kappa(np.ones((X.shape[0], 1)), X)[0]
+        kap = m_step_kappa(X.sum(axis=0)[None, :], np.array([float(X.shape[0])]))[0]
         assert abs(kap - 50.0) / 50.0 <= 0.05
 
 
@@ -291,12 +308,13 @@ class TestFit:
         def loglik_piece(gamma_col, mu, kap):
             return float(gamma_col @ vmf_log_density(X, mu, kap))
 
-        theta, _ = init_spherical_kmeans(X, 3, seed=3, kappa_init=cfg.kappa_init)
+        theta = init_spherical_kmeans(X, 3, seed=3, kappa_init=cfg.kappa_init)
         ref_trace = []
         for _ in range(res.iters_run):
             gamma = posterior(theta, X)
-            mu_new = m_step_mu(gamma, X)
-            kap_new = m_step_kappa(gamma, X)
+            r = gamma.T @ X
+            mu_new = m_step_mu(r)
+            kap_new = m_step_kappa(r, gamma.sum(axis=0))
             means, kappas = theta.means.copy(), theta.kappas.copy()
             for j in range(3):
                 if loglik_piece(gamma[:, j], mu_new[j], kap_new[j]) >= loglik_piece(
@@ -333,6 +351,16 @@ class TestFit:
         assert np.all(np.diff(res.objective_trace) >= -1e-6)
         assert np.all(res.theta.kappas <= 1e6)
         np.testing.assert_allclose(np.linalg.norm(res.theta.means, axis=1), 1.0, atol=1e-6)
+
+    def test_gamma_is_the_last_e_step_iterate(self):
+        # gamma is the balance-shifted E-step iterate, not posterior(theta):
+        # the last trace entry is the objective at exactly (theta, gamma).
+        from spheremix.objective import objective_from_scores
+
+        X, _, _ = separated_instance(n=300, k=3, d=8, seed=16)
+        res = fit(X, FitConfig(k=3, lam=5000.0, seed=1))
+        scores = log_component_scores(X, res.theta)
+        assert objective_from_scores(scores, res.gamma, 5000.0) == res.objective_trace[-1]
 
     def test_too_few_points(self):
         with pytest.raises(TooFewPointsError):

@@ -260,7 +260,11 @@ class TestModelJson:
         assert echo["k"] == 24
         assert echo["lambda"] == 5000.0
         assert echo["max_iters"] == 200
-        assert set(echo) >= {"stop_tol", "eps", "kappa_init", "estep_sweeps", "seed"}
+        # The model JSON and the fit stdout print the keys in this order.
+        assert list(echo) == [
+            "k", "lambda", "max_iters", "stop_tol", "eps", "kappa_init",
+            "estep_sweeps", "seed",
+        ]
 
 
 class TestStudentFile:
@@ -325,6 +329,27 @@ class TestStudentFile:
         path.write_bytes(student_blob(4, 2, 2, 0, values.tobytes()))
         with pytest.raises(MalformedFileError, match="student.bin"):
             load_student(path)
+
+    @pytest.mark.parametrize("rows", [(0, 3), (1, 4)])  # bias and weights; two weight rows
+    def test_opposite_infinities_rejected(self, tmp_path, rows):
+        values = np.zeros((1 + 4, 2), dtype="<f4")
+        values[rows[0], 0] = np.inf
+        values[rows[1], 1] = -np.inf
+        path = tmp_path / "student.bin"
+        path.write_bytes(student_blob(4, 2, 2, 0, values.tobytes()))
+        with pytest.raises(MalformedFileError, match="student.bin"):
+            load_student(path)
+
+    def test_float32_max_rows_load(self, tmp_path):
+        big = np.finfo(np.float32).max
+        values = np.zeros((1 + 4, 2), dtype="<f4")
+        values[:3] = big
+        values[3:] = -big
+        path = tmp_path / "student.bin"
+        path.write_bytes(student_blob(4, 2, 2, 0, values.tobytes()))
+        back = load_student(path)
+        np.testing.assert_array_equal(back.bias, values[0])
+        np.testing.assert_array_equal(back.weights, values[1:])
 
     def test_shape_mismatch_on_save(self, tmp_path):
         model = self.make_model()

@@ -50,8 +50,8 @@ class GisConfig:
     s: int = 5
 
     def validate(self) -> "GisConfig":
-        if self.beta < 0.0:
-            raise ValueError(f"beta must be >= 0, got {self.beta}")
+        if not 0.0 <= self.beta < math.inf:
+            raise ValueError(f"beta must be finite and >= 0, got {self.beta}")
         if not self.eps > 0.0:
             raise ValueError(f"eps must be > 0, got {self.eps}")
         if self.m_neighbors < 1 or self.s < 1:
@@ -73,9 +73,14 @@ class RepresentativeSet:
         return len(self.indices)
 
 
+# Cap on the cosine entries one block of rows holds (2^17 float64 = 1 MB),
+# so local_density's extra memory is O(block * n_k), never n_k^2.
+_BLOCK_ENTRIES = 1 << 17
+
+
 def local_density(
-    i: int, k: int, X: np.ndarray, hard_labels: np.ndarray, m_neighbors: int
-) -> tuple[float, bool]:
+    i: int | np.ndarray, k: int, X: np.ndarray, hard_labels: np.ndarray, m_neighbors: int
+) -> tuple[float, bool] | tuple[np.ndarray, np.ndarray]:
     """Mean cosine from x_i to its m nearest neighbors within cluster k.
 
     Neighbors are restricted to points hard-assigned to the same cluster;
@@ -83,6 +88,11 @@ def local_density(
     fewer than m other members, all of them are used. A singleton cluster
     has no neighbors: returns (0.0, True), the flag marking the degenerate
     case instead of raising.
+
+    `i` may be one index, giving (float, bool), or an index array, giving
+    parallel (rho, singleton) arrays. The cluster is gathered once and
+    compared with the points in row blocks of at most _BLOCK_ENTRIES
+    cosines.
     """
     X = np.asarray(X, dtype=np.float64)
     hard_labels = np.asarray(hard_labels)
@@ -90,40 +100,69 @@ def local_density(
         raise SizeMismatchError(
             f"{X.shape[0]} points vs {hard_labels.shape[0]} labels"
         )
+    idx = np.asarray(i, dtype=np.int64)
+    scalar = idx.ndim == 0
+    idx = idx.reshape(-1)
     members = np.flatnonzero(hard_labels == k)
-    members = members[members != i]
-    if members.size == 0:
-        return 0.0, True
-    cos = X[members] @ X[i]
-    if members.size > m_neighbors:
-        cos = np.sort(cos)[-m_neighbors:]
-    return float(np.mean(cos)), False
+    n_k = members.size
+    col = np.searchsorted(members, idx)  # each point's column in the cluster
+    inside = col < n_k
+    inside[inside] = members[col[inside]] == idx[inside]
+    X_c = X[members]
+    block = max(1, _BLOCK_ENTRIES // max(n_k, 1))
+    rho = np.zeros(idx.size)
+    singleton = np.zeros(idx.size, dtype=bool)
+    for is_member in (True, False):
+        rows = np.flatnonzero(inside == is_member)
+        others = n_k - 1 if is_member else n_k
+        if others == 0:
+            singleton[rows] = True
+            continue
+        m = min(m_neighbors, others)
+        for lo in range(0, rows.size, block):
+            r = rows[lo : lo + block]
+            cos = X[idx[r]] @ X_c.T
+            if is_member:
+                cos[np.arange(r.size), col[r]] = -np.inf
+            cos.partition(n_k - m, axis=1)
+            # Ascending, as np.sort(cos)[-m:] leaves them, so the mean sums
+            # in one order whatever the block.
+            rho[r] = np.sort(cos[:, n_k - m :], axis=1).mean(axis=1)
+    if scalar:
+        return float(rho[0]), bool(singleton[0])
+    return rho, singleton
 
 
 def gis_score(
-    i: int,
+    i: int | np.ndarray,
     k: int,
     X: np.ndarray,
     gamma: np.ndarray,
     theta: MixtureParams,
-    rho: float,
+    rho: float | np.ndarray,
     cfg: GisConfig,
-) -> float:
+) -> float | np.ndarray:
     """Influence of sample i for cluster k given its precomputed rho.
 
     log(gamma_ik + eps) + log f(x_i | mu_k, kappa_k) + beta log(rho + eps).
     beta = 0 removes the support term entirely (even when rho + eps <= 0);
     otherwise a non-positive rho + eps makes the score -inf, so
     semantically isolated points sort last rather than raising.
+
+    `i` and `rho` may be one index and one float, giving a float, or
+    parallel arrays, giving an array of scores.
     """
-    certainty = math.log(float(gamma[i, k]) + cfg.eps)
-    coherence = float(vmf_log_density(X[i], theta.means[k], float(theta.kappas[k])))
-    if cfg.beta == 0.0:
-        support = 0.0
-    else:
-        shifted = rho + cfg.eps
-        support = cfg.beta * math.log(shifted) if shifted > 0.0 else -math.inf
-    return certainty + coherence + support
+    idx = np.asarray(i, dtype=np.int64)
+    certainty = np.log(gamma[idx, k] + cfg.eps)
+    coherence = vmf_log_density(X[idx], theta.means[k], float(theta.kappas[k]))
+    support = np.zeros(idx.shape)
+    if cfg.beta != 0.0:
+        shifted = np.asarray(rho, dtype=np.float64) + cfg.eps
+        pos = shifted > 0.0
+        support[pos] = cfg.beta * np.log(shifted[pos])
+        support[~pos] = -np.inf
+    out = certainty + coherence + support
+    return float(out) if idx.ndim == 0 else out
 
 
 def select_representatives(
@@ -132,7 +171,8 @@ def select_representatives(
     """Top-s samples of every cluster by influence score.
 
     Clusters are the hard argmax assignment of gamma (ties to the lowest
-    index via argmax). Within a cluster every member is scored; the top s
+    index via argmax). Within a cluster every member is scored, with one
+    local_density and one gis_score call over all members; the top s
     survive, sorted by descending score with index as the tie-breaker.
     An empty cluster yields an empty list rather than an error.
     """
@@ -150,16 +190,8 @@ def select_representatives(
             indices.append(np.empty(0, dtype=np.int64))
             scores.append(np.empty(0, dtype=np.float64))
             continue
-        vals = np.array(
-            [
-                gis_score(
-                    int(i), k, X, gamma, theta,
-                    local_density(int(i), k, X, labels, cfg.m_neighbors)[0],
-                    cfg,
-                )
-                for i in members
-            ]
-        )
+        rho, _ = local_density(members, k, X, labels, cfg.m_neighbors)
+        vals = gis_score(members, k, X, gamma, theta, rho, cfg)
         # Sort by (-score, index): descending score, lower index on ties.
         order = np.lexsort((members, -vals))[: cfg.s]
         indices.append(members[order])

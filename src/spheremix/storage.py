@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import re
 import secrets
@@ -154,8 +155,14 @@ def load_model(path: str | Path) -> tuple[MixtureParams, float, dict]:
         )
         if theta.k != doc["k"] or theta.d != doc["d"]:
             raise SizeMismatchError(f"{path}: header k/d disagree with components")
-        return theta.validate(), float(doc["lambda"]), doc.get("meta", {})
-    except (AttributeError, LookupError, TypeError, ValueError) as exc:
+        lam = float(doc["lambda"])
+        if not 0.0 <= lam < math.inf:
+            raise MalformedFileError(f"{path}: lambda must be finite and >= 0, got {lam}")
+        return theta.validate(), lam, doc.get("meta", {})
+    # Deep nesting makes json raise RecursionError; an integer too large for
+    # a float raises OverflowError.
+    except (AttributeError, LookupError, TypeError, ValueError, OverflowError,
+            RecursionError) as exc:
         raise MalformedFileError(
             f"{path}: not a {MODEL_FORMAT} model ({type(exc).__name__}: {exc})"
         ) from exc
@@ -256,9 +263,9 @@ def write_dataset_tsv(path: str | Path, labels: np.ndarray, texts: list[str]) ->
 def read_dataset_tsv(path: str | Path) -> tuple[np.ndarray, list[str]]:
     labels: list[int] = []
     texts: list[str] = []
-    for line in _read_lines(path):
+    for lineno, line in enumerate(_read_lines(path), 1):
         lab, _, rest = line.partition("\t")
-        labels.append(int(lab))
+        labels.append(_parse_label(lab, path, lineno))
         texts.append(unescape_field(rest))
     return np.asarray(labels, dtype=np.int64), texts
 
@@ -268,7 +275,10 @@ def write_labels(path: str | Path, labels: np.ndarray) -> None:
 
 
 def read_labels(path: str | Path) -> np.ndarray:
-    return np.asarray([int(line) for line in _read_lines(path)], dtype=np.int64)
+    return np.asarray(
+        [_parse_label(line, path, j) for j, line in enumerate(_read_lines(path), 1)],
+        dtype=np.int64,
+    )
 
 
 def write_texts(path: str | Path, texts: list[str]) -> None:
@@ -279,7 +289,35 @@ def read_texts(path: str | Path) -> list[str]:
     return [unescape_field(line) for line in _read_lines(path)]
 
 
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+
+
+def _parse_label(field: str, path: str | Path, lineno: int) -> int:
+    try:
+        value = int(field)
+        if _INT64_MIN <= value <= _INT64_MAX:
+            return value
+    except ValueError:
+        pass
+    raise MalformedFileError(
+        f"{path}: line {lineno}: label {field[:40]!r} is not a 64-bit integer"
+    )
+
+
 def _read_lines(path: str | Path) -> Iterator[str]:
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        for line in fh:
-            yield line.rstrip("\n")
+        try:
+            for line in fh:
+                yield line.rstrip("\n")
+        except UnicodeDecodeError:
+            # The decoder reads ahead of the lines, so locate the bad byte
+            # in the raw file.
+            data = Path(path).read_bytes()
+            try:
+                data.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                line = data.count(b"\n", 0, exc.start) + 1
+                raise MalformedFileError(
+                    f"{path}: line {line} is not UTF-8 ({exc.reason})"
+                ) from exc
+            raise

@@ -176,6 +176,18 @@ class TestGisCommand:
         assert code == 1
         assert "spheremix:" in out.err
 
+    @pytest.mark.parametrize("beta", ["nan", "inf", "-inf"])
+    def test_non_finite_beta_exits_one(self, tmp_path, capsys, beta):
+        emb, _ = make_corpus(tmp_path, capsys, n=200, components=2)
+        model = tmp_path / "model.json"
+        run(capsys, "fit", "--input", emb, "--output", model, "--k", 2)
+        reps = tmp_path / "r.tsv"
+        code, _, out = run(capsys, "gis", "--input", emb, "--model", model,
+                           "--output", reps, f"--gis-beta={beta}")
+        assert code == 1
+        assert "beta" in out.err
+        assert not reps.exists()
+
 
 class TestDistillCommand:
     def test_full_distill_run(self, tmp_path, capsys):

@@ -2,6 +2,8 @@
 
 import math
 import os
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -225,6 +227,137 @@ class TestSelectRepresentatives:
         reps = select_representatives(X, gamma, theta, GisConfig(s=16))
         for idx in reps.indices:
             assert np.all(idx < X_clean.shape[0])
+
+
+def assert_matches_brute_force(X, gamma, theta, cfg):
+    got = select_representatives(X, gamma, theta, cfg)
+    want_idx, want_scores = brute_force_reps(X, gamma, theta, cfg)
+    for j in range(theta.k):
+        np.testing.assert_array_equal(got.indices[j], want_idx[j], err_msg=f"cluster {j}")
+        np.testing.assert_allclose(got.scores[j], want_scores[j], atol=1e-12)
+
+
+def one_hot_gamma(labels, k, p=0.9):
+    """Responsibilities whose argmax is `labels`: p on the label, the rest
+    spread evenly."""
+    gamma = np.full((labels.size, k), (1.0 - p) / (k - 1))
+    gamma[np.arange(labels.size), labels] = p
+    return gamma
+
+
+class TestBlockedGisOracle:
+    """select_representatives against the brute-force table where the blocked
+    path has its edges: several row blocks, M >= n_k - 1, singletons,
+    duplicates, beta = 0 with non-positive support, non-members."""
+
+    def test_cluster_spanning_several_blocks(self):
+        rng = np.random.default_rng(10)
+        X = random_unit_rows(rng, 700, 5)
+        theta = random_params(rng, 2, 5)
+        labels = np.zeros(700, dtype=np.int64)
+        labels[650:] = 1  # 650 members: three row blocks of the cosine matrix
+        assert_matches_brute_force(X, one_hot_gamma(labels, 2), theta,
+                                   GisConfig(s=40, m_neighbors=9))
+
+    @pytest.mark.parametrize("m", [5, 6, 7, 50])
+    def test_m_at_least_cluster_size(self, m):
+        rng = np.random.default_rng(11)
+        X = random_unit_rows(rng, 12, 4)
+        theta = random_params(rng, 2, 4)
+        labels = np.array([0] * 6 + [1] * 6)  # n_k - 1 = 5 others
+        assert_matches_brute_force(X, one_hot_gamma(labels, 2), theta,
+                                   GisConfig(s=6, m_neighbors=m))
+
+    def test_singleton_cluster(self):
+        rng = np.random.default_rng(12)
+        X = random_unit_rows(rng, 20, 4)
+        theta = random_params(rng, 3, 4)
+        labels = np.array([0] * 10 + [1] + [2] * 9)
+        assert_matches_brute_force(X, one_hot_gamma(labels, 3), theta, GisConfig(s=3))
+        rho, singleton = local_density(10, 1, X, labels, 4)
+        assert rho == 0.0 and singleton
+
+    def test_duplicate_rows_tie_to_lower_index(self):
+        rng = np.random.default_rng(13)
+        X = random_unit_rows(rng, 300, 6)
+        dups = [3, 40, 41, 170, 299]
+        X[dups] = X[3]
+        theta = MixtureParams(means=X[3][None, :], kappas=np.array([30.0]))
+        gamma = np.ones((300, 1))
+        cfg = GisConfig(s=5, m_neighbors=8)
+        reps = select_representatives(X, gamma, theta, cfg)
+        np.testing.assert_array_equal(reps.indices[0], dups)
+        assert np.all(reps.scores[0] == reps.scores[0][0])
+        assert_matches_brute_force(X, gamma, theta, cfg)
+
+    @pytest.mark.parametrize("beta", [0.0, 1.0])
+    def test_non_positive_support(self, beta):
+        # pairs of nearly opposite points: every rho is close to -1
+        base = normalize(np.array([1.0, 0.5, 0.2]))
+        other = normalize(np.array([0.1, 1.0, -0.3]))
+        X = np.stack([base, point_at_cosine(base, -0.95), other, point_at_cosine(other, -0.9)])
+        labels = np.array([0, 0, 1, 1])
+        theta = MixtureParams(means=np.stack([base, other]), kappas=np.array([2.0, 3.0]))
+        gamma = one_hot_gamma(labels, 2, p=0.6)
+        cfg = GisConfig(s=2, beta=beta)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            reps = select_representatives(X, gamma, theta, cfg)
+            rho, _ = local_density(np.arange(4), 0, X, labels, 16)
+            scores = gis_score(np.arange(4), 0, X, gamma, theta, rho, cfg)
+        assert np.all(rho[:2] <= -cfg.eps)
+        if beta == 0.0:
+            assert np.all(np.isfinite(scores))
+        else:
+            assert np.all(scores[:2] == -math.inf)
+            assert all(np.all(sc == -math.inf) for sc in reps.scores)
+        assert_matches_brute_force(X, gamma, theta, cfg)
+
+    def test_non_member_uses_every_member(self):
+        rng = np.random.default_rng(14)
+        X = random_unit_rows(rng, 30, 4)
+        labels = np.array([0] * 20 + [1] * 10)
+        for m in (3, 10, 25):
+            rho, singleton = local_density(25, 0, X, labels, m)
+            cos = np.sort(X[:20] @ X[25])[::-1]
+            assert rho == pytest.approx(float(np.mean(cos[:m])), abs=1e-12)
+            assert not singleton
+        # an empty cluster has no neighbors for anyone
+        assert local_density(25, 2, X, labels, 4) == (0.0, True)
+
+    def test_array_and_scalar_forms_agree(self):
+        rng = np.random.default_rng(15)
+        X = random_unit_rows(rng, 900, 5)
+        labels = rng.integers(0, 2, size=900)
+        labels[:3] = [0, 1, 1]
+        theta = random_params(rng, 3, 5)  # cluster 2 is empty
+        gamma = random_gamma(rng, 900, 3)
+        cfg = GisConfig(m_neighbors=7)
+        idx = np.concatenate([rng.permutation(900)[:300], [0, 0, 899]])
+        for k in range(3):
+            rho, singleton = local_density(idx, k, X, labels, cfg.m_neighbors)
+            scores = gis_score(idx, k, X, gamma, theta, rho, cfg)
+            for j, i in enumerate(idx):
+                r, flag = local_density(int(i), k, X, labels, cfg.m_neighbors)
+                assert isinstance(r, float) and isinstance(flag, bool)
+                assert abs(r - rho[j]) <= 1e-12 and flag == singleton[j]
+                sc = gis_score(int(i), k, X, gamma, theta, r, cfg)
+                assert isinstance(sc, float)
+                assert abs(sc - scores[j]) <= 1e-12
+
+    def test_memory_is_blocked(self):
+        # One 4000-point cluster: the full cosine matrix would take 128 MB.
+        rng = np.random.default_rng(16)
+        X = random_unit_rows(rng, 4000, 16)
+        theta = random_params(rng, 1, 16)
+        gamma = np.ones((4000, 1))
+        tracemalloc.start()
+        try:
+            select_representatives(X, gamma, theta, GisConfig())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, peak
 
 
 class TestPromptExport:

@@ -1,6 +1,6 @@
 """The benchmark's tracer (perfbench/spans.py) against the library: every
-name it wraps exists, and a fit records a span for each step the traced
-benchmark run reads."""
+name it wraps exists, and a fit and a representative selection record a
+span for each step the traced benchmark run reads."""
 
 import importlib
 import importlib.util
@@ -8,8 +8,10 @@ from pathlib import Path
 
 import numpy as np
 
-from conftest import random_unit_rows
+from conftest import random_params, random_unit_rows
+import spheremix.gis as gis
 import spheremix.inference as inference
+from spheremix.objective import posterior
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -44,3 +46,16 @@ def test_fit_records_a_span_for_each_step():
         "objective.check_responsibilities",
     ):
         assert ix.select(name, inside="inference.fit"), name
+
+
+def test_gis_records_its_kernel_spans():
+    spans = load_spans()
+    rng = np.random.default_rng(1)
+    X = random_unit_rows(rng, 80, 4)
+    theta = random_params(rng, 3, 4)
+    tracer = spans.Tracer("gis")
+    with tracer.installed():
+        gis.select_representatives(X, posterior(theta, X), theta, gis.GisConfig())
+    ix = spans.SpanIndex(tracer.spans)
+    for name in ("gis.local_density", "gis.gis_score"):
+        assert ix.select(name, inside="gis.select_representatives"), name

@@ -28,6 +28,7 @@ from spheremix.storage import (
     escape_field,
     load_model,
     load_student,
+    model_to_json,
     read_dataset_tsv,
     read_embeddings,
     read_labels,
@@ -249,6 +250,15 @@ class TestModelJson:
         with pytest.raises(SphereMixError, match="model.json"):
             load_model(path)
 
+    @pytest.mark.parametrize("lam", ["NaN", "Infinity", "-Infinity", "-1.0"])
+    def test_lambda_must_be_finite_and_nonnegative(self, tmp_path, lam):
+        path = tmp_path / "model.json"
+        save_model(path, self.make_theta(), lam=1.0, meta={})
+        doc = path.read_text().replace('"lambda": 1.0', f'"lambda": {lam}')
+        path.write_text(doc)
+        with pytest.raises(MalformedFileError, match="model.json.*lambda"):
+            load_model(path)
+
     def test_not_an_object(self, tmp_path):
         path = tmp_path / "model.json"
         path.write_text("[1, 2, 3]")
@@ -407,11 +417,84 @@ class TestEscapedTsv:
         write_texts(path, NASTY)
         assert read_texts(path) == NASTY
 
+    @pytest.mark.parametrize(
+        "raw, want",
+        [(b"", []), (b"\n", [""]), (b"a\n\nb", ["a", "", "b"]), (b"a\r\nb\n", ["a\r", "b"])],
+    )
+    def test_line_splitting(self, tmp_path, raw, want):
+        path = tmp_path / "texts.txt"
+        path.write_bytes(raw)
+        assert read_texts(path) == want
+
     def test_one_record_per_line(self, tmp_path):
         path = tmp_path / "texts.txt"
         write_texts(path, NASTY)
         raw = path.read_text(encoding="utf-8")
         assert raw.count("\n") == len(NASTY)
+
+
+class TestLineReaderErrors:
+    """A bad line ends as a MalformedFileError naming the file and the line."""
+
+    @pytest.mark.parametrize("reader", [read_texts, read_labels, read_dataset_tsv])
+    def test_bad_utf8(self, tmp_path, reader):
+        path = tmp_path / "lines.txt"
+        # far past the decoder's read-ahead buffer
+        path.write_bytes(b"0\n" * 5000 + b"\xff\xfe broken\n1\n")
+        with pytest.raises(MalformedFileError, match="lines.txt: line 5001 "):
+            reader(path)
+
+    @pytest.mark.parametrize(
+        "body, line", [(b"0\n1\nx\n", 3), (b"\n", 1), (b"7\n" + b"9" * 30 + b"\n", 2)]
+    )
+    def test_bad_label(self, tmp_path, body, line):
+        path = tmp_path / "labels.txt"
+        path.write_bytes(body)
+        with pytest.raises(MalformedFileError, match=f"labels.txt: line {line}"):
+            read_labels(path)
+
+    def test_bad_dataset_label(self, tmp_path):
+        path = tmp_path / "ds.tsv"
+        path.write_bytes(b"0\tfirst\nlabel\tsecond\n")
+        with pytest.raises(MalformedFileError, match="ds.tsv: line 2"):
+            read_dataset_tsv(path)
+
+
+class TestTextReadersFuzz:
+    """Whatever the bytes, a text reader gives a result or a SphereMixError."""
+
+    @pytest.mark.parametrize("reader", [read_texts, read_labels, read_dataset_tsv, load_model])
+    @given(
+        prefix=st.sampled_from([b"", b"0\t", b"12\n", b'{"format": "GEMMODEL1", ']),
+        rest=st.binary(max_size=96),
+    )
+    def test_arbitrary_bytes(self, tmp_path_factory, reader, prefix, rest):
+        path = tmp_path_factory.getbasetemp() / "fuzz.txt"
+        path.write_bytes(prefix + rest)
+        try:
+            reader(path)
+        except SphereMixError:
+            pass
+
+    @given(
+        field=st.sampled_from(["k", "d", "lambda", "components", "mu", "kappa"]),
+        value=st.recursive(
+            st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+            lambda inner: st.lists(inner, max_size=4)
+            | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+            max_leaves=8,
+        ),
+    )
+    def test_model_fields(self, tmp_path_factory, field, value):
+        theta = MixtureParams(means=np.eye(2), kappas=np.array([1.0, 2.0]))
+        doc = json.loads(model_to_json(theta, 1.0, {}))
+        (doc["components"][0] if field in ("mu", "kappa") else doc)[field] = value
+        path = tmp_path_factory.getbasetemp() / "fuzz_model.json"
+        path.write_text(json.dumps(doc))
+        try:
+            load_model(path)
+        except SphereMixError:
+            pass
 
 
 class TestBinaryReadersFuzz:

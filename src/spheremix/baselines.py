@@ -14,9 +14,9 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.special import xlogy
 
-from .errors import SizeMismatchError, TooFewPointsError
-from .geometry import normalize
-from .inference import init_spherical_kmeans
+from .errors import SizeMismatchError
+from .geometry import as_embeddings, normalize
+from .inference import _SPHERICAL, _kmeans
 
 
 @dataclass(frozen=True)
@@ -47,50 +47,6 @@ class ClusterMetrics:
     matched_accuracy: float | None = None
 
 
-def _kmeanspp_seed(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """k-means++ seeding under squared Euclidean distance."""
-    n = X.shape[0]
-    centers = np.empty((k, X.shape[1]))
-    centers[0] = X[rng.integers(n)]
-    d2 = np.sum((X - centers[0]) ** 2, axis=1)
-    for j in range(1, k):
-        total = float(d2.sum())
-        if total <= 0.0:
-            centers[j:] = X[rng.integers(n, size=k - j)]
-            break
-        centers[j] = X[rng.choice(n, p=d2 / total)]
-        d2 = np.minimum(d2, np.sum((X - centers[j]) ** 2, axis=1))
-    return centers
-
-
-def kmeans_fit(X: np.ndarray, k: int, seed: int, max_rounds: int = 100) -> HardPartition:
-    """Lloyd's algorithm in Euclidean space; deterministic for a fixed seed."""
-    X = np.asarray(X, dtype=np.float64)
-    n = X.shape[0]
-    if n < k:
-        raise TooFewPointsError(f"{n} points cannot support k={k} clusters")
-    rng = np.random.default_rng(seed)
-    centers = _kmeanspp_seed(X, k, rng)
-    labels = np.argmin(_sq_dists(X, centers), axis=1)
-    for _ in range(max_rounds):
-        for j in range(k):
-            mask = labels == j
-            if not np.any(mask):
-                # Move an empty center onto the point farthest from its
-                # current center.
-                far = np.take_along_axis(
-                    _sq_dists(X, centers), labels[:, None], axis=1
-                ).ravel()
-                centers[j] = X[int(np.argmax(far))]
-                continue
-            centers[j] = X[mask].mean(axis=0)
-        new_labels = np.argmin(_sq_dists(X, centers), axis=1)
-        if np.array_equal(new_labels, labels):
-            break
-        labels = new_labels
-    return HardPartition(labels=labels, k=k).validate()
-
-
 def _sq_dists(X: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return (
         np.sum(X * X, axis=1)[:, None]
@@ -99,15 +55,32 @@ def _sq_dists(X: np.ndarray, centers: np.ndarray) -> np.ndarray:
     )
 
 
+# _kmeans steps for Euclidean k-means: squared distance seeds and
+# assigns, the mean is the centroid.
+_EUCLIDEAN = (
+    lambda X, c: np.sum((X - c) ** 2, axis=1),
+    lambda X, C: -_sq_dists(X, C),
+    lambda X, C, labels: -np.take_along_axis(_sq_dists(X, C), labels[:, None], axis=1).ravel(),
+    lambda members: members.mean(axis=0),
+)
+
+
+def kmeans_fit(X: np.ndarray, k: int, seed: int, max_rounds: int = 100) -> HardPartition:
+    """Lloyd's algorithm in Euclidean space with k-means++ seeding;
+    deterministic for a fixed seed."""
+    X = np.asarray(X, dtype=np.float64)
+    _, labels = _kmeans(X, k, seed, max_rounds, _EUCLIDEAN)
+    return HardPartition(labels=labels, k=k).validate()
+
+
 def spherical_kmeans_fit(
     X: np.ndarray, k: int, seed: int, max_rounds: int = 100
 ) -> HardPartition:
     """k-means with cosine assignment and normalized-resultant centroids
-    (Dhillon & Modha 2001): init_spherical_kmeans on the normalized rows,
-    each point labelled by its nearest final centroid."""
-    Xu = normalize(X)
-    theta = init_spherical_kmeans(Xu, k, seed, max_rounds=max_rounds)
-    return HardPartition(labels=np.argmax(Xu @ theta.means.T, axis=1), k=k).validate()
+    (Dhillon & Modha 2001), the fit's initializer run on the normalized
+    rows as a hard clustering."""
+    _, labels = _kmeans(as_embeddings(normalize(X)), k, seed, max_rounds, _SPHERICAL)
+    return HardPartition(labels=labels, k=k).validate()
 
 
 def _contingency(a: HardPartition, b: HardPartition) -> np.ndarray:

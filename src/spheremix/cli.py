@@ -177,7 +177,7 @@ def cmd_distill(args) -> int:
 def _load_partition(path, k=None):
     labels = storage.read_labels(path)
     inferred = int(labels.max()) + 1 if labels.size else 1
-    return HardPartition(labels=labels, k=k or inferred).validate()
+    return HardPartition(labels=labels, k=inferred if k is None else k).validate()
 
 
 def cmd_eval(args) -> int:

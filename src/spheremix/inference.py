@@ -48,8 +48,8 @@ class FitConfig:
     def validate(self, n: int | None = None) -> "FitConfig":
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
-        if self.lam < 0.0:
-            raise ValueError(f"lam must be >= 0, got {self.lam}")
+        if not 0.0 <= self.lam < np.inf:  # NaN fails too
+            raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
         if self.stop_tol is not None and not self.stop_tol > 0.0:
@@ -90,6 +90,60 @@ class FitResult:
         return np.argmax(self.gamma, axis=1)
 
 
+def _kmeans(
+    X: np.ndarray, k: int, seed: int, max_rounds: int, steps: tuple
+) -> tuple[np.ndarray, np.ndarray]:
+    """k-means++ seeding (Arthur & Vassilvitskii 2007), then Lloyd rounds
+    until no label changes or max_rounds; returns (centers, labels), each
+    label the point's nearest final center. steps carries the geometry:
+    spread(X, c), each point's ++ weight from one center; closeness(X, C),
+    (n, k), larger is nearer; own_closeness(X, C, labels), each point's
+    closeness to its own center, whose argmin reseeds an empty cluster;
+    centroid(members), a cluster's new center."""
+    spread, closeness, own_closeness, centroid = steps
+    n, d = X.shape
+    if n < k:
+        raise TooFewPointsError(f"{n} points cannot support k={k} clusters")
+    rng = np.random.default_rng(seed)
+
+    centers = np.empty((k, d))
+    centers[0] = X[rng.integers(n)]
+    d2 = spread(X, centers[0])
+    for j in range(1, k):
+        total = float(d2.sum())
+        if total <= 0.0:
+            centers[j:] = X[rng.integers(n, size=k - j)]
+            break
+        centers[j] = X[rng.choice(n, p=d2 / total)]
+        d2 = np.minimum(d2, spread(X, centers[j]))
+
+    labels = np.argmax(closeness(X, centers), axis=1)
+    for _ in range(max_rounds):
+        for j in range(k):
+            mask = labels == j
+            if not np.any(mask):
+                centers[j] = X[int(np.argmin(own_closeness(X, centers, labels)))]
+                continue
+            centers[j] = centroid(X[mask])
+        new_labels = np.argmax(closeness(X, centers), axis=1)
+        if np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+    return centers, labels
+
+
+# _kmeans steps for unit rows (Dhillon & Modha 2001): squared chordal
+# distance 2(1 - cos) seeds, cosine assigns, the normalized resultant is
+# the centroid. The own-center cosine is a row-wise einsum, not a pick
+# from X @ C.T: the two round differently and would break ties apart.
+_SPHERICAL = (
+    lambda X, c: 2.0 * np.clip(1.0 - X @ c, 0.0, None),
+    lambda X, C: X @ C.T,
+    lambda X, C, labels: np.einsum("ij,ij->i", X, C[labels]),
+    lambda members: normalize(members.sum(axis=0)),
+)
+
+
 def init_spherical_kmeans(
     X: np.ndarray,
     k: int,
@@ -100,40 +154,7 @@ def init_spherical_kmeans(
     """Spherical k-means initializer: cosine k-means++ seeding, then Lloyd
     rounds with normalized-resultant centroids. Returns mean directions
     with every kappa set to kappa_init."""
-    X = as_embeddings(X)
-    n, d = X.shape
-    if n < k:
-        raise TooFewPointsError(f"{n} points cannot support k={k} clusters")
-    rng = np.random.default_rng(seed)
-
-    centers = np.empty((k, d))
-    centers[0] = X[rng.integers(n)]
-    # Squared chordal distance 2(1 - cos) drives the ++ seeding.
-    d2 = 2.0 * np.clip(1.0 - X @ centers[0], 0.0, None)
-    for j in range(1, k):
-        total = float(d2.sum())
-        if total <= 0.0:
-            centers[j:] = X[rng.integers(n, size=k - j)]
-            break
-        centers[j] = X[rng.choice(n, p=d2 / total)]
-        d2 = np.minimum(d2, 2.0 * np.clip(1.0 - X @ centers[j], 0.0, None))
-
-    labels = np.argmax(X @ centers.T, axis=1)
-    for _ in range(max_rounds):
-        for j in range(k):
-            mask = labels == j
-            if not np.any(mask):
-                # Reseed an empty cluster on the point least aligned with
-                # its current centroid.
-                cos_own = np.einsum("ij,ij->i", X, centers[labels])
-                centers[j] = X[int(np.argmin(cos_own))]
-                continue
-            centers[j] = normalize(X[mask].sum(axis=0))
-        new_labels = np.argmax(X @ centers.T, axis=1)
-        if np.array_equal(new_labels, labels):
-            break
-        labels = new_labels
-
+    centers, _ = _kmeans(as_embeddings(X), k, seed, max_rounds, _SPHERICAL)
     return MixtureParams(means=centers, kappas=np.full(k, float(kappa_init))).validate()
 
 

@@ -18,6 +18,8 @@ from .geometry import normalize, sample_uniform_sphere, sample_vmf
 def mixture_means(k: int, d: int, seed: int, arrangement: str = "orthogonal") -> np.ndarray:
     """k unit mean directions: mutually orthogonal (requires k <= d) or
     uniform random."""
+    if k < 1:
+        raise ValueError(f"need at least 1 component, got {k}")
     rng = np.random.default_rng(seed)
     if arrangement == "orthogonal":
         if k > d:

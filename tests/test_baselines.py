@@ -18,6 +18,7 @@ from spheremix.baselines import (
     spherical_kmeans_fit,
 )
 from spheremix.errors import SizeMismatchError, TooFewPointsError
+from spheremix.inference import init_spherical_kmeans
 from spheremix.synth import mixture_means, sample_mixture
 
 
@@ -77,6 +78,30 @@ class TestSphericalKmeans:
     def test_too_few_points(self):
         with pytest.raises(TooFewPointsError):
             spherical_kmeans_fit(np.eye(3), 4, seed=0)
+
+
+class TestLloydEmptyClusterReseed:
+    """Corpora on which a Lloyd round empties a cluster, so the core's
+    reseed step runs; the outputs are pinned from before the spherical and
+    Euclidean k-means shared one Lloyd core."""
+
+    def test_euclidean_reseed_on_farthest_point(self):
+        # ++ seeds (2,0), (1,0), (8,2). Round 0 sends the (2,0) rows to
+        # center 1 and (5,1) to center 2, so cluster 0 is empty; round 1
+        # reseeds it on (5,1), the point farthest from its own center
+        # (7,1). Without the reseed (5,1) and (6,0) stay with cluster 2.
+        X = np.array([[8, 2], [5, 1], [2, 0], [6, 0], [2, 0], [1, 0]], dtype=float)
+        np.testing.assert_array_equal(kmeans_fit(X, 3, seed=8).labels, [2, 0, 1, 0, 1, 1])
+
+    def test_spherical_reseed_on_least_aligned_point(self):
+        # Two directions for three clusters: ++ seeds e3 and e1, then falls
+        # back to the row e1, which ties with center 1 and loses, so
+        # cluster 2 is empty. Every point sits on its own center (cosine
+        # exactly 1), so the reseed takes the first row, e3.
+        e1, e3 = [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]
+        X = np.array([e3, e3, e1])
+        np.testing.assert_array_equal(init_spherical_kmeans(X, 3, seed=14).means, [e3, e1, e3])
+        np.testing.assert_array_equal(spherical_kmeans_fit(X, 3, seed=14).labels, [0, 0, 1])
 
 
 class TestHungarianMatch:

@@ -279,6 +279,32 @@ class TestErrorExits:
         assert not (tmp_path / "m2.json").exists()
         assert not (tmp_path / "a.tsv").exists()
 
+    @pytest.mark.parametrize("lam", ["nan", "inf"])
+    def test_non_finite_lambda_exits_one(self, tmp_path, capsys, lam):
+        emb, _ = make_corpus(tmp_path, capsys, n=100, components=2)
+        model, sweep = tmp_path / "m.json", tmp_path / "sweep.tsv"
+        for argv in (["fit", "--output", model, "--k", 2, f"--lambda={lam}"],
+                     ["sweep", "--output", sweep, "--k-list", 2, "--lambda-list", lam]):
+            code, _, out = run(capsys, *argv, "--input", emb)
+            assert code == 1
+            assert "lam must be finite" in out.err
+        assert not model.exists() and not (tmp_path / "m.json.trace.csv").exists()
+        assert not sweep.exists()
+
+    def test_eval_k_zero_exits_one(self, tmp_path, capsys):
+        pred = tmp_path / "pred.txt"
+        storage.write_labels(pred, np.array([0, 0, 1, 1]))
+        code, _, out = run(capsys, "eval", "--pred", pred, "--k", 0)
+        assert code == 1
+        assert "k must be >= 1" in out.err
+
+    def test_synth_zero_components_exits_one(self, tmp_path, capsys):
+        emb = tmp_path / "e.bin"
+        code, _, out = run(capsys, "synth", "--output", emb, "--components", 0)
+        assert code == 1
+        assert "component" in out.err and "ZeroDivisionError" not in out.err
+        assert not emb.exists()
+
     def test_model_without_components_is_data_error(self, tmp_path, capsys):
         emb, _ = make_corpus(tmp_path, capsys, n=100, components=2)
         model = tmp_path / "model.json"

@@ -58,6 +58,8 @@ class TestFitConfig:
             {"eps": 1e-2},
             {"kappa_init": -5.0},
             {"estep_sweeps": 0},
+            {"lam": float("nan")},
+            {"lam": float("inf")},
         ],
     )
     def test_validate_rejects(self, kwargs):

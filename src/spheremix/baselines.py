@@ -38,13 +38,10 @@ class HardPartition:
 
 @dataclass(frozen=True)
 class ClusterMetrics:
-    """Partition quality numbers; agreement fields are None when no
-    reference labelling was supplied."""
+    """Balance of a partition's cluster shares (collapse_report)."""
 
     balance_l2: float
     max_share: float
-    nmi: float | None = None
-    matched_accuracy: float | None = None
 
 
 def _sq_dists(X: np.ndarray, centers: np.ndarray) -> np.ndarray:

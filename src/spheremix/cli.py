@@ -29,8 +29,8 @@ from .distill import (
 )
 from .errors import SphereMixError
 from .gis import GisConfig, export_taxonomy_prompts, select_representatives
-from .inference import FitConfig, fit
-from .objective import empirical_mass, posterior
+from .inference import FitConfig, FitResult, fit
+from .objective import MixtureParams, empirical_mass, posterior
 from .synth import make_text_corpus, mixture_means, sample_mixture
 
 
@@ -62,11 +62,23 @@ def _solver_input(args) -> tuple[np.ndarray, np.ndarray, FitConfig]:
     X = storage.read_embeddings(args.input)
     seed_init, seed_sub = _child_seeds(args.seed, 2)
     rows = _subsample(seed_sub, X.shape[0], args.seed_fraction)
-    cfg = FitConfig(
-        max_iters=args.max_iters, stop_tol=args.stop_tol, kappa_init=args.kappa_init,
-        estep_sweeps=args.estep_sweeps, seed=seed_init,
-    )
+    cfg = FitConfig(max_iters=args.max_iters, stop_tol=args.stop_tol, seed=seed_init)
     return X[rows], rows, cfg
+
+
+def _fit_partition(result: FitResult, X: np.ndarray) -> HardPartition:
+    """The hard labels of a fit, as `assign` reproduces them from the saved
+    model: the argmax of theta's posterior, not of the balance-shifted
+    gamma."""
+    labels = posterior(result.theta, X).argmax(axis=1)
+    return HardPartition(labels=labels, k=result.theta.k).validate()
+
+
+def _teacher(args) -> tuple[np.ndarray, MixtureParams, np.ndarray]:
+    """The --input embeddings, the --model mixture and its posterior."""
+    X = storage.read_embeddings(args.input)
+    theta, _, _ = storage.load_model(args.model)
+    return X, theta, posterior(theta, X)
 
 
 def cmd_fit(args) -> int:
@@ -90,8 +102,7 @@ def cmd_fit(args) -> int:
     storage.atomic_write_text(trace_path, "".join(lines))
 
     pi = empirical_mass(result.gamma)
-    hard = HardPartition(labels=result.hard_labels, k=cfg.k).validate()
-    report = collapse_report(hard)
+    report = collapse_report(_fit_partition(result, X))
     for key, value in storage.config_echo(cfg).items():
         _print_kv(f"config.{key}", value)
     _print_kv("n", X.shape[0])
@@ -105,9 +116,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_assign(args) -> int:
-    X = storage.read_embeddings(args.input)
-    theta, _, _ = storage.load_model(args.model)
-    gamma = posterior(theta, X)
+    X, theta, gamma = _teacher(args)
     labels = gamma.argmax(axis=1)
     lines = [
         f"{i}\t{int(labels[i])}\t{float(gamma[i, labels[i]])!r}\n" for i in range(X.shape[0])
@@ -119,9 +128,7 @@ def cmd_assign(args) -> int:
 
 
 def cmd_gis(args) -> int:
-    X = storage.read_embeddings(args.input)
-    theta, _, _ = storage.load_model(args.model)
-    gamma = posterior(theta, X)
+    X, theta, gamma = _teacher(args)
     cfg = GisConfig(beta=args.gis_beta, m_neighbors=args.gis_m, s=args.gis_s)
     reps = select_representatives(X, gamma, theta, cfg)
 
@@ -143,10 +150,8 @@ def cmd_gis(args) -> int:
 
 
 def cmd_distill(args) -> int:
-    X = storage.read_embeddings(args.input)
+    X, theta, gamma = _teacher(args)
     texts = storage.read_texts(args.texts)
-    theta, _, _ = storage.load_model(args.model)
-    gamma = posterior(theta, X)
     seed_shuffle, seed_split, seed_train = _child_seeds(args.seed, 3)
 
     ds = build_pseudo_labeled(
@@ -226,30 +231,34 @@ def cmd_sweep(args) -> int:
         full = _load_partition(args.truth)
         truth = HardPartition(labels=full.labels[rows], k=full.k).validate()
 
-    k_list = [int(v) for v in args.k_list.split(",")]
-    lam_list = [float(v) for v in args.lambda_list.split(",")]
+    # Every cell is checked before the first fit, so a bad cell fails the
+    # command before it prints a row.
+    grid = [
+        dataclasses.replace(base, k=int(k), lam=float(lam)).validate(X.shape[0])
+        for k in args.k_list.split(",")
+        for lam in args.lambda_list.split(",")
+    ]
     cols = ["k", "lambda", "iters", "converged", "final_objective",
             "balance_l2", "hard_balance_l2", "max_share"]
     if truth is not None:
         cols += ["nmi", "matched_accuracy"]
     lines = ["\t".join(cols) + "\n"]
-    for k in k_list:
-        for lam in lam_list:
-            result = fit(X, dataclasses.replace(base, k=k, lam=lam))
-            pi = empirical_mass(result.gamma)
-            hard = HardPartition(labels=result.hard_labels, k=k).validate()
-            report = collapse_report(hard)
-            row = [
-                str(k), repr(lam), str(result.iters_run),
-                str(int(result.converged)),
-                repr(float(result.objective_trace[-1])),
-                repr(float(np.linalg.norm(pi - 1.0 / k))),
-                repr(report.balance_l2), repr(report.max_share),
-            ]
-            if truth is not None:
-                row += [repr(nmi(hard, truth)), repr(hungarian_match(hard, truth)[1])]
-            lines.append("\t".join(row) + "\n")
-            sys.stdout.write(lines[-1])
+    for cfg in grid:
+        result = fit(X, cfg)
+        pi = empirical_mass(result.gamma)
+        hard = _fit_partition(result, X)
+        report = collapse_report(hard)
+        row = [
+            str(cfg.k), repr(cfg.lam), str(result.iters_run),
+            str(int(result.converged)),
+            repr(float(result.objective_trace[-1])),
+            repr(float(np.linalg.norm(pi - 1.0 / cfg.k))),
+            repr(report.balance_l2), repr(report.max_share),
+        ]
+        if truth is not None:
+            row += [repr(nmi(hard, truth)), repr(hungarian_match(hard, truth)[1])]
+        lines.append("\t".join(row) + "\n")
+        sys.stdout.write(lines[-1])
     storage.atomic_write_text(args.output, "".join(lines))
     return 0
 
@@ -258,8 +267,11 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-iters", type=int, default=200)
     p.add_argument("--stop-tol", type=float, default=None,
                    help="absolute objective-change tolerance (default 1e-4 * n)")
-    p.add_argument("--kappa-init", type=float, default=1.0)
-    p.add_argument("--estep-sweeps", type=int, default=3)
+
+
+def _add_teacher_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--input", required=True, help="embedding file (GEMEMB1)")
+    p.add_argument("--model", required=True, help="model file (JSON)")
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -289,15 +301,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("assign", help="posterior-assign points under a fitted model")
-    p.add_argument("--input", required=True)
-    p.add_argument("--model", required=True)
+    _add_teacher_flags(p)
     p.add_argument("--output", required=True, help="TSV: index, label, probability")
     _add_common(p)
     p.set_defaults(func=cmd_assign)
 
     p = sub.add_parser("gis", help="select cluster representatives; optionally export prompts")
-    p.add_argument("--input", required=True)
-    p.add_argument("--model", required=True)
+    _add_teacher_flags(p)
     p.add_argument("--output", required=True, help="TSV: cluster, index, score")
     p.add_argument("--texts", default=None, help="escaped text file, one document per line")
     p.add_argument("--prompt-dir", default=None, help="directory for cluster_*.prompt.txt")
@@ -308,8 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gis)
 
     p = sub.add_parser("distill", help="train the hashed n-gram student from teacher labels")
-    p.add_argument("--input", required=True)
-    p.add_argument("--model", required=True)
+    _add_teacher_flags(p)
     p.add_argument("--texts", required=True)
     p.add_argument("--output", required=True, help="student model file (GEMSTU1)")
     p.add_argument("--dataset", default=None, help="optional pseudo-labeled TSV dump")

@@ -2,9 +2,10 @@
 
 Each iteration ascends a surrogate in gamma (the quadratic balance penalty
 linearized at the current empirical mass, which minorizes the true
-objective), then applies closed-form mean/concentration updates guarded by
-per-component likelihood acceptance. The full-objective trace is therefore
-non-decreasing up to floating-point noise.
+objective and, R being quadratic, equals it), then applies closed-form
+mean/concentration updates guarded by per-component likelihood acceptance.
+The full-objective trace is therefore non-decreasing up to floating-point
+noise.
 """
 
 from __future__ import annotations
@@ -27,6 +28,12 @@ from .objective import (
     surrogate_from_scores,
 )
 
+# Solver constants: E-step sweeps per iteration, the M-step's division
+# guard, and the concentration of initial and reseeded components.
+_ESTEP_SWEEPS = 3
+_EPS = 1e-8
+_KAPPA_INIT = 1.0
+
 # A cluster whose total responsibility falls below 10 * eps * n is treated
 # as empty and reseeded on the worst-explained point.
 _EMPTY_FACTOR = 10.0
@@ -40,9 +47,6 @@ class FitConfig:
     lam: float = 5000.0
     max_iters: int = 200
     stop_tol: float | None = None   # None: resolved to 1e-4 * n at fit time
-    eps: float = 1e-8
-    kappa_init: float = 1.0
-    estep_sweeps: int = 3
     seed: int = 0
 
     def validate(self, n: int | None = None) -> "FitConfig":
@@ -54,12 +58,6 @@ class FitConfig:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
         if self.stop_tol is not None and not self.stop_tol > 0.0:
             raise ValueError(f"stop_tol must be > 0, got {self.stop_tol}")
-        if not 0.0 < self.eps <= 1e-3:
-            raise ValueError(f"eps must lie in (0, 1e-3], got {self.eps}")
-        if not 0.0 <= self.kappa_init <= KAPPA_MAX:
-            raise ValueError(f"kappa_init must lie in [0, {KAPPA_MAX:g}]")
-        if self.estep_sweeps < 1:
-            raise ValueError(f"estep_sweeps must be >= 1, got {self.estep_sweeps}")
         if n is not None and n < self.k:
             raise TooFewPointsError(f"{n} points cannot support k={self.k} clusters")
         return self
@@ -74,8 +72,8 @@ class FitConfig:
 class FitResult:
     """Output of fit(). gamma is the last balance-shifted E-step iterate,
     the one objective_trace[-1] is evaluated at (with theta); it is not the
-    posterior of theta. assign, gis and distill use posterior(theta), which
-    a saved model reproduces, so their labels can differ from hard_labels
+    posterior of theta. The CLI commands label by posterior(theta), which a
+    saved model reproduces, so their labels can differ from hard_labels
     on a small fraction of points."""
 
     theta: MixtureParams
@@ -145,52 +143,45 @@ _SPHERICAL = (
 
 
 def init_spherical_kmeans(
-    X: np.ndarray,
-    k: int,
-    seed: int,
-    kappa_init: float = 1.0,
-    max_rounds: int = 100,
+    X: np.ndarray, k: int, seed: int, max_rounds: int = 100
 ) -> MixtureParams:
     """Spherical k-means initializer: cosine k-means++ seeding, then Lloyd
     rounds with normalized-resultant centroids. Returns mean directions
-    with every kappa set to kappa_init."""
+    with every kappa set to _KAPPA_INIT."""
     centers, _ = _kmeans(as_embeddings(X), k, seed, max_rounds, _SPHERICAL)
-    return MixtureParams(means=centers, kappas=np.full(k, float(kappa_init))).validate()
+    return MixtureParams(means=centers, kappas=np.full(k, _KAPPA_INIT)).validate()
 
 
 def e_step(scores: np.ndarray, gamma: np.ndarray, cfg: FitConfig) -> np.ndarray:
     """One surrogate ascent in gamma at fixed theta, given theta's (n, k)
     component scores (log_component_scores).
 
-    Runs cfg.estep_sweeps rounds of row-wise closed-form updates
-    (softmax of the component scores shifted by the per-cluster balance
-    pressure (1/n)[grad R(pi_anchor) - lam (pi(gamma) - pi_anchor)]),
-    refreshing pi(gamma) between sweeps. Returns the best iterate seen,
-    falling back to the input gamma itself, so the surrogate value never
-    decreases; by the minorization argument neither does the objective.
+    Runs _ESTEP_SWEEPS row-wise closed-form updates: the softmax of the
+    component scores shifted by the balance gradient grad R(pi(gamma)) / n,
+    with pi(gamma) refreshed between sweeps. Returns the best iterate by the
+    surrogate anchored at the input's mass, falling back to the input gamma
+    itself, so the surrogate value never decreases; by the minorization
+    argument neither does the objective.
 
-    With lam = 0 the shift vanishes and a single sweep returns the exact
+    With lam = 0 the shift vanishes and every sweep returns the exact
     posterior, the global maximizer of the surrogate.
     """
     gamma = check_responsibilities(gamma)
     n = gamma.shape[0]
     pi_anchor = gamma.mean(axis=0)
-    grad_anchor = balance_gradient(pi_anchor, cfg.lam)
 
     best = gamma
     best_val = surrogate_from_scores(scores, gamma, pi_anchor, cfg.lam)
     cur = gamma
-    for _ in range(cfg.estep_sweeps):
-        pi = cur.mean(axis=0)
-        shift = (grad_anchor - cfg.lam * (pi - pi_anchor)) / n
-        cur = softmax_rows(scores + shift[None, :])
+    for _ in range(_ESTEP_SWEEPS):
+        cur = softmax_rows(scores + balance_gradient(cur.mean(axis=0), cfg.lam) / n)
         val = surrogate_from_scores(scores, cur, pi_anchor, cfg.lam)
         if val > best_val:
             best, best_val = cur, val
     return best
 
 
-def m_step_mu(r: np.ndarray, eps: float = 1e-8) -> np.ndarray:
+def m_step_mu(r: np.ndarray, eps: float = _EPS) -> np.ndarray:
     """Closed-form mean directions from the (k, d) resultants
     r_k = sum_i gamma_ik x_i: each row normalized.
 
@@ -204,7 +195,7 @@ def m_step_mu(r: np.ndarray, eps: float = 1e-8) -> np.ndarray:
     return means
 
 
-def m_step_kappa(r: np.ndarray, n_k: np.ndarray, eps: float = 1e-8) -> np.ndarray:
+def m_step_kappa(r: np.ndarray, n_k: np.ndarray, eps: float = _EPS) -> np.ndarray:
     """Closed-form concentrations from the (k, d) resultants r_k and the
     masses n_k = sum_i gamma_ik.
 
@@ -230,7 +221,6 @@ def _m_step(
     theta: MixtureParams,
     gamma: np.ndarray,
     X: np.ndarray,
-    cfg: FitConfig,
     scores: np.ndarray,
 ) -> MixtureParams:
     """Guarded M-step used inside fit().
@@ -245,17 +235,17 @@ def _m_step(
     r = gamma.T @ X
     n_k = gamma.sum(axis=0)
 
-    mu_new = m_step_mu(r, cfg.eps)
-    kappa_new = m_step_kappa(r, n_k, cfg.eps)
+    mu_new = m_step_mu(r)
+    kappa_new = m_step_kappa(r, n_k)
 
-    empty = n_k < _EMPTY_FACTOR * cfg.eps * n
+    empty = n_k < _EMPTY_FACTOR * _EPS * n
     if np.any(empty):
         # Worst-explained points under the pre-update model, one per
         # reseeded cluster so duplicates get distinct directions.
         order = np.argsort(logsumexp(scores, axis=1))
         for slot, j in enumerate(np.flatnonzero(empty)):
             mu_new[j] = X[order[slot % n]]
-            kappa_new[j] = cfg.kappa_init
+            kappa_new[j] = _KAPPA_INIT
 
     live = ~empty
     if np.any(live):
@@ -288,7 +278,7 @@ def fit(X: np.ndarray, cfg: FitConfig) -> FitResult:
     cfg.validate(n)
     tol = cfg.resolved_tol(n)
 
-    theta = init_spherical_kmeans(X, cfg.k, cfg.seed, cfg.kappa_init)
+    theta = init_spherical_kmeans(X, cfg.k, cfg.seed)
     gamma = np.full((n, cfg.k), 1.0 / cfg.k)
     scores = log_component_scores(X, theta)
 
@@ -297,7 +287,7 @@ def fit(X: np.ndarray, cfg: FitConfig) -> FitResult:
     converged = False
     for _ in range(cfg.max_iters):
         gamma = e_step(scores, gamma, cfg)
-        theta = _m_step(theta, gamma, X, cfg, scores)
+        theta = _m_step(theta, gamma, X, scores)
         scores = log_component_scores(X, theta)
         value = objective_from_scores(scores, gamma, cfg.lam)
         trace.append(value)

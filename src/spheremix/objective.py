@@ -160,9 +160,9 @@ def surrogate_from_scores(
     """Linearized-penalty surrogate around pi_anchor, at fixed theta.
 
     Replaces R(pi(gamma)) by its tangent at the anchor minus the matching
-    (lam / 2) ||pi - pi_anchor||^2 curvature term. Because grad R is
-    exactly lam-Lipschitz this lower-bounds the true objective everywhere
-    and touches it at gamma with pi(gamma) = pi_anchor.
+    (lam / 2) ||pi - pi_anchor||^2 curvature term. R is quadratic with
+    curvature exactly lam, so this equals the true objective for every
+    gamma up to rounding: a minorizer that touches it everywhere.
     """
     pi = gamma.mean(axis=0)
     diff = pi - pi_anchor

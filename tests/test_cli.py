@@ -88,6 +88,30 @@ class TestSynthFitEval:
         assert code == 0
         assert kv["config.k"] == "24"
         assert kv["config.lambda"] == "5000.0"
+        assert [key for key in kv if key.startswith("config.")] == [
+            "config.k", "config.lambda", "config.max_iters", "config.stop_tol", "config.seed",
+        ]
+        meta = json.loads((tmp_path / "m.json").read_text())["meta"]
+        assert sorted(meta["config"]) == ["k", "lambda", "max_iters", "seed", "stop_tol"]
+
+    def test_fit_reports_the_partition_assign_reproduces(self, tmp_path, capsys):
+        # The balance-shifted gamma's argmax differs from the posterior's on
+        # a few of these points; the report must follow the saved model.
+        from spheremix.baselines import HardPartition, collapse_report
+        from spheremix.synth import collapse_stress_corpus
+
+        X, _ = collapse_stress_corpus(2000, 8, 16, seed=0)
+        emb, model, assigns = tmp_path / "emb.bin", tmp_path / "m.json", tmp_path / "a.tsv"
+        storage.write_embeddings(X, emb, normalized=True)
+        code, kv, _ = run(capsys, "fit", "--input", emb, "--output", model, "--k", 8)
+        assert code == 0
+        assert run(capsys, "assign", "--input", emb, "--model", model,
+                   "--output", assigns)[0] == 0
+        labels = np.array([int(line.split("\t")[1])
+                           for line in assigns.read_text().splitlines()])
+        report = collapse_report(HardPartition(labels=labels, k=8))
+        assert float(kv["balance_l2"]) == report.balance_l2
+        assert float(kv["max_share"]) == report.max_share
 
     def test_trace_csv_non_decreasing(self, tmp_path, capsys):
         emb, _ = make_corpus(tmp_path, capsys, n=600, components=3)
@@ -227,6 +251,17 @@ class TestSweepCommand:
         assert len(rows) == 4
         soft = [float(r["balance_l2"]) for r in rows]
         assert all(soft[i + 1] <= soft[i] + 1e-3 for i in range(3))
+
+    @pytest.mark.parametrize("grid", [["--k-list", "2", "--lambda-list", "0,nan"],
+                                      ["--k-list", "2,500", "--lambda-list", "0"]])
+    def test_bad_cell_fails_before_the_first_fit(self, tmp_path, capsys, grid):
+        emb, _ = make_corpus(tmp_path, capsys, n=400, components=2)
+        out = tmp_path / "sweep.tsv"
+        code, _, res = run(capsys, "sweep", "--input", emb, "--output", out, *grid)
+        assert code == 1
+        assert res.out == ""
+        assert "spheremix:" in res.err
+        assert not out.exists()
 
 
 class TestErrorExits:

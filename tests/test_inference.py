@@ -54,10 +54,10 @@ class TestFitConfig:
             {"lam": -1.0},
             {"max_iters": 0},
             {"stop_tol": 0.0},
-            {"eps": 0.0},
-            {"eps": 1e-2},
-            {"kappa_init": -5.0},
-            {"estep_sweeps": 0},
+            {"k": -3},
+            {"max_iters": -1},
+            {"stop_tol": -1e-3},
+            {"stop_tol": float("nan")},
             {"lam": float("nan")},
             {"lam": float("inf")},
         ],
@@ -105,12 +105,12 @@ class TestInitSphericalKmeans:
 
 
 class TestEStep:
-    def test_lam_zero_single_sweep_is_posterior(self):
+    def test_lam_zero_returns_posterior(self):
         rng = np.random.default_rng(0)
         X = random_unit_rows(rng, 40, 6)
         theta = random_params(rng, 3, 6)
         gamma0 = random_gamma(rng, 40, 3)
-        cfg = FitConfig(k=3, lam=0.0, estep_sweeps=1)
+        cfg = FitConfig(k=3, lam=0.0)
         out = e_step(log_component_scores(X, theta), gamma0, cfg)
         np.testing.assert_allclose(out, posterior(theta, X), atol=1e-12)
 
@@ -134,15 +134,13 @@ class TestEStep:
 
     def test_beats_grid_oracle(self):
         # N=4, K=2, lam=10: exhaustive 10^4-point grid over the product of
-        # per-row simplices. Extra sweeps let the damped fixed-point
-        # iteration settle; the acceptance rule makes fewer sweeps safe
-        # but not necessarily grid-optimal.
+        # per-row simplices.
         rng = np.random.default_rng(2)
         X = random_unit_rows(rng, 4, 3)
         theta = random_params(rng, 2, 3)
         anchor = np.full((4, 2), 0.5)
         pi_t = empirical_mass(anchor)
-        cfg = FitConfig(k=2, lam=10.0, estep_sweeps=50)
+        cfg = FitConfig(k=2, lam=10.0)
         scores = log_component_scores(X, theta)
         got = surrogate_value(theta, e_step(scores, anchor, cfg), pi_t, X, 10.0)
 
@@ -168,6 +166,31 @@ class TestEStep:
                 theta, e_step(log_component_scores(X, theta), gamma, cfg), pi_t, X, lam
             )
             assert after >= before - 1e-9 * max(1.0, abs(before))
+
+    def test_matches_reference_sweeps(self):
+        # Independently written: three sweeps of softmax(s - lam (pi(cur) -
+        # u) / n) from the input, keeping the first best iterate by the
+        # surrogate anchored at the input's mass. lam / n ranges far above
+        # 1, where the sweeps overshoot and the input itself may win.
+        rng = np.random.default_rng(6)
+        for _ in range(200):
+            n, k, d = int(rng.integers(1, 81)), int(rng.integers(1, 7)), 5
+            X = random_unit_rows(rng, n, d)
+            theta = random_params(rng, k, d)
+            gamma = random_gamma(rng, n, k)
+            lam = float(rng.choice([0.0, 10.0, 5000.0, 1e8]))
+            pi_t = gamma.mean(axis=0)
+            best, best_val = gamma, surrogate_value(theta, gamma, pi_t, X, lam)
+            cur = gamma
+            for _ in range(3):
+                logits = log_component_scores(X, theta) - lam * (cur.mean(axis=0) - 1.0 / k) / n
+                cur = np.exp(logits - logits.max(axis=1, keepdims=True))
+                cur /= cur.sum(axis=1, keepdims=True)
+                val = surrogate_value(theta, cur, pi_t, X, lam)
+                if val > best_val:
+                    best, best_val = cur, val
+            got = e_step(log_component_scores(X, theta), gamma, FitConfig(k=k, lam=lam))
+            np.testing.assert_allclose(got, best, rtol=0.0, atol=1e-12)
 
     @given(st.integers(2, 20), st.integers(2, 4), st.integers(0, 500))
     @settings(max_examples=25)
@@ -310,7 +333,7 @@ class TestFit:
         def loglik_piece(gamma_col, mu, kap):
             return float(gamma_col @ vmf_log_density(X, mu, kap))
 
-        theta = init_spherical_kmeans(X, 3, seed=3, kappa_init=cfg.kappa_init)
+        theta = init_spherical_kmeans(X, 3, seed=3)
         ref_trace = []
         for _ in range(res.iters_run):
             gamma = posterior(theta, X)

@@ -271,10 +271,7 @@ class TestModelJson:
         assert echo["lambda"] == 5000.0
         assert echo["max_iters"] == 200
         # The model JSON and the fit stdout print the keys in this order.
-        assert list(echo) == [
-            "k", "lambda", "max_iters", "stop_tol", "eps", "kappa_init",
-            "estep_sweeps", "seed",
-        ]
+        assert list(echo) == ["k", "lambda", "max_iters", "stop_tol", "seed"]
 
 
 class TestStudentFile:

@@ -27,7 +27,7 @@ from .distill import (
     split_dataset,
     train_student,
 )
-from .errors import SphereMixError
+from .errors import MissingDocumentError, SphereMixError
 from .gis import GisConfig, export_taxonomy_prompts, select_representatives
 from .inference import FitConfig, FitResult, fit
 from .objective import MixtureParams, empirical_mass, posterior
@@ -128,7 +128,15 @@ def cmd_assign(args) -> int:
 
 
 def cmd_gis(args) -> int:
+    # Inputs are checked before the selection, so a bad one writes nothing.
+    if args.prompt_dir is not None and args.texts is None:
+        raise ValueError("--prompt-dir requires --texts")
     X, theta, gamma = _teacher(args)
+    texts = None
+    if args.prompt_dir is not None:
+        texts = storage.read_texts(args.texts)
+        if len(texts) != X.shape[0]:
+            raise MissingDocumentError(f"{X.shape[0]} embeddings but {len(texts)} documents")
     cfg = GisConfig(beta=args.gis_beta, m_neighbors=args.gis_m, s=args.gis_s)
     reps = select_representatives(X, gamma, theta, cfg)
 
@@ -138,10 +146,7 @@ def cmd_gis(args) -> int:
             lines.append(f"{k}\t{int(i)}\t{float(s)!r}\n")
     storage.atomic_write_text(args.output, "".join(lines))
 
-    if args.prompt_dir is not None:
-        if args.texts is None:
-            raise ValueError("--prompt-dir requires --texts")
-        texts = storage.read_texts(args.texts)
+    if texts is not None:
         written = export_taxonomy_prompts(reps, texts, args.prompt_dir)
         _print_kv("prompts_written", len(written))
     _print_kv("clusters", reps.k)

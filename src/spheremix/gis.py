@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import re
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -133,6 +133,18 @@ def local_density(
     return rho, singleton
 
 
+def _support(rho: float | np.ndarray, cfg: GisConfig) -> np.ndarray:
+    """The support term beta log(rho + eps): zero at beta = 0 whatever rho
+    is, otherwise -inf where rho + eps <= 0."""
+    shifted = np.asarray(rho, dtype=np.float64) + cfg.eps
+    support = np.zeros(shifted.shape)
+    if cfg.beta != 0.0:
+        pos = shifted > 0.0
+        support[pos] = cfg.beta * np.log(shifted[pos])
+        support[~pos] = -np.inf
+    return support
+
+
 def gis_score(
     i: int | np.ndarray,
     k: int,
@@ -155,13 +167,7 @@ def gis_score(
     idx = np.asarray(i, dtype=np.int64)
     certainty = np.log(gamma[idx, k] + cfg.eps)
     coherence = vmf_log_density(X[idx], theta.means[k], float(theta.kappas[k]))
-    support = np.zeros(idx.shape)
-    if cfg.beta != 0.0:
-        shifted = np.asarray(rho, dtype=np.float64) + cfg.eps
-        pos = shifted > 0.0
-        support[pos] = cfg.beta * np.log(shifted[pos])
-        support[~pos] = -np.inf
-    out = certainty + coherence + support
+    out = certainty + coherence + _support(rho, cfg)
     return float(out) if idx.ndim == 0 else out
 
 
@@ -171,10 +177,18 @@ def select_representatives(
     """Top-s samples of every cluster by influence score.
 
     Clusters are the hard argmax assignment of gamma (ties to the lowest
-    index via argmax). Within a cluster every member is scored, with one
-    local_density and one gis_score call over all members; the top s
-    survive, sorted by descending score with index as the tie-breaker.
-    An empty cluster yields an empty list rather than an error.
+    index via argmax). Within a cluster, one gis_score call gives every
+    member its score without the support term, c_i. By Cauchy-Schwarz,
+    rho_i <= |x_i| max_j |x_j| over the cluster's members (1 for unit rows;
+    rows read from a file whose normalized flag is 0 may be longer), so
+    c_i + beta log(that bound + eps) bounds the full score from above.
+    Members are visited in descending bound order, lower index first on
+    ties, and local_density scores them in blocks of s, 2s, 4s, ...; the
+    scan stops when the next bound is strictly below the s-th best full
+    score, since no member left can then enter the top s. The top s of the
+    visited members survive, sorted by descending score with index as the
+    tie-breaker: the same set and order as scoring every member. An empty
+    cluster yields an empty list rather than an error.
     """
     cfg = cfg.validate()
     gamma = check_responsibilities(gamma)
@@ -182,20 +196,45 @@ def select_representatives(
     if gamma.shape[0] != X.shape[0]:
         raise SizeMismatchError(f"{X.shape[0]} points vs {gamma.shape[0]} rows")
     labels = np.argmax(gamma, axis=1)
+    no_support = replace(cfg, beta=0.0)
+    norms = np.sqrt(np.einsum("ij,ij->i", X, X))
+    # A computed d-term dot product exceeds the exact one by at most
+    # gamma_d |x||y|, gamma_d ~ d u with u = eps / 2 (Higham 2002, sec. 3.1);
+    # the mean of m cosines, the two computed norms and their product add
+    # about (d + m + 6) u. A relative slack of 4 (d + m) eps covers both.
+    slack = 4.0 * (X.shape[1] + cfg.m_neighbors) * np.finfo(np.float64).eps
     indices: list[np.ndarray] = []
     scores: list[np.ndarray] = []
     for k in range(theta.k):
         members = np.flatnonzero(labels == k)
-        if members.size == 0:
+        n_k = members.size
+        if n_k == 0:
             indices.append(np.empty(0, dtype=np.int64))
             scores.append(np.empty(0, dtype=np.float64))
             continue
-        rho, _ = local_density(members, k, X, labels, cfg.m_neighbors)
-        vals = gis_score(members, k, X, gamma, theta, rho, cfg)
+        cheap = gis_score(members, k, X, gamma, theta, 0.0, no_support)
+        lengths = norms[members]
+        bound = cheap + _support(lengths * (lengths.max() * (1.0 + slack)), cfg)
+        visit = np.lexsort((members, -bound))
+        vals = np.empty(n_k)
+        seen, size = 0, cfg.s
+        while True:
+            block = np.sort(visit[seen : seen + size])
+            rho, _ = local_density(members[block], k, X, labels, cfg.m_neighbors)
+            # Every full score adds its support to the same cheap value its
+            # bound does, so a score never rounds above its bound.
+            vals[block] = cheap[block] + _support(rho, cfg)
+            seen, size = seen + block.size, 2 * size
+            if seen == n_k:
+                break
+            cut = np.partition(vals[visit[:seen]], seen - cfg.s)[seen - cfg.s]
+            if bound[visit[seen]] < cut:
+                break
         # Sort by (-score, index): descending score, lower index on ties.
-        order = np.lexsort((members, -vals))[: cfg.s]
-        indices.append(members[order])
-        scores.append(vals[order])
+        top = visit[:seen]
+        top = top[np.lexsort((members[top], -vals[top]))[: cfg.s]]
+        indices.append(members[top])
+        scores.append(vals[top])
     return RepresentativeSet(indices=indices, scores=scores)
 
 

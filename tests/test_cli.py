@@ -199,6 +199,23 @@ class TestGisCommand:
                            "--output", tmp_path / "r.tsv", "--prompt-dir", tmp_path / "p")
         assert code == 1
         assert "spheremix:" in out.err
+        assert not (tmp_path / "r.tsv").exists()
+
+    @pytest.mark.parametrize("lines", [290, 310])
+    def test_texts_must_match_the_rows(self, tmp_path, capsys, lines):
+        emb, _ = make_corpus(tmp_path, capsys, n=300, components=3, texts=True)
+        model = tmp_path / "model.json"
+        run(capsys, "fit", "--input", emb, "--output", model, "--k", 3)
+        docs = storage.read_texts(tmp_path / "texts.txt")
+        texts = tmp_path / "other.txt"
+        storage.write_texts(texts, (docs * 2)[:lines])
+        reps, prompts = tmp_path / "r.tsv", tmp_path / "p"
+        code, _, out = run(capsys, "gis", "--input", emb, "--model", model, "--output", reps,
+                           "--texts", texts, "--prompt-dir", prompts)
+        assert code == 1
+        assert f"300 embeddings but {lines} documents" in out.err
+        assert not reps.exists()
+        assert not prompts.exists()
 
     @pytest.mark.parametrize("beta", ["nan", "inf", "-inf"])
     def test_non_finite_beta_exits_one(self, tmp_path, capsys, beta):

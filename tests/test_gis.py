@@ -4,11 +4,13 @@ import math
 import os
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conftest import random_gamma, random_params, random_unit_rows
+from spheremix import gis
 from spheremix.errors import MissingDocumentError
 from spheremix.geometry import log_vmf_norm_const, normalize, sample_uniform_sphere, sample_vmf
 from spheremix.gis import (
@@ -358,6 +360,119 @@ class TestBlockedGisOracle:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20, peak
+
+
+def unit(*v):
+    v = np.asarray(v, dtype=np.float64)
+    return v / np.linalg.norm(v)
+
+
+def count_support_rows(monkeypatch):
+    """Wrap gis.local_density so each call's row count is recorded."""
+    calls = []
+    real = gis.local_density
+
+    def counted(i, *args):
+        calls.append(np.size(i))
+        return real(i, *args)
+
+    monkeypatch.setattr(gis, "local_density", counted)
+    return calls
+
+
+class TestBoundedScanOracle:
+    """select_representatives against the brute-force table where the
+    bounded scan has its edges: no support term, S around the cluster size,
+    ties on the cut-off, -inf scores, and rows that are not unit length."""
+
+    def test_beta_zero_scores_one_block(self, monkeypatch):
+        rng = np.random.default_rng(20)
+        X = random_unit_rows(rng, 400, 6)
+        theta = random_params(rng, 3, 6)
+        gamma = posterior(theta, X)
+        cfg = GisConfig(s=7, beta=0.0)
+        calls = count_support_rows(monkeypatch)
+        assert_matches_brute_force(X, gamma, theta, cfg)
+        sizes = np.bincount(gamma.argmax(axis=1), minlength=3)
+        assert calls == [min(cfg.s, int(n)) for n in sizes if n]
+
+    @pytest.mark.parametrize("s", [14, 15, 16, 24, 25, 26])
+    def test_s_around_cluster_size(self, s):
+        rng = np.random.default_rng(21)
+        X = random_unit_rows(rng, 40, 4)
+        theta = random_params(rng, 2, 4)
+        labels = np.array([0] * 25 + [1] * 15)
+        assert_matches_brute_force(X, one_hot_gamma(labels, 2), theta,
+                                   GisConfig(s=s, m_neighbors=4))
+
+    @pytest.mark.parametrize("beta", [0.0, 1.0])
+    def test_duplicates_tied_at_the_cut(self, beta):
+        # Four leaders near the mean, then three copies of one row: the
+        # copies hold places 5-7, so the 5th is a three-way tie on the score
+        # (and, at beta = 0, the next bound equals the cut-off).
+        rng = np.random.default_rng(22)
+        e1 = np.array([1.0, 0.0, 0.0])
+        X = random_unit_rows(rng, 300, 3)
+        X = X[X[:, 0] < 0.5][:200]
+        leaders = [0, 50, 100, 150]
+        for j, i in enumerate(leaders):
+            X[i] = point_at_cosine(e1, 0.99 - 0.001 * j)
+        dups = [120, 7, 180]
+        X[dups] = point_at_cosine(e1, 0.9)
+        theta = MixtureParams(means=e1[None, :], kappas=np.array([10.0]))
+        gamma = np.ones((X.shape[0], 1))
+        cfg = GisConfig(s=5, m_neighbors=2, beta=beta)
+        want_idx, want_scores = brute_force_reps(X, gamma, theta, replace(cfg, s=7))
+        assert sorted(want_idx[0][4:]) == sorted(dups)
+        assert want_scores[0][4] == want_scores[0][6]
+        reps = select_representatives(X, gamma, theta, cfg)
+        assert reps.indices[0][4] == min(dups)
+        assert_matches_brute_force(X, gamma, theta, cfg)
+
+    def test_non_positive_support_in_the_top(self):
+        # Three near-copies near e1 have rho ~ 1; the two others' nearest
+        # neighbor is at a negative cosine, so rho + eps <= 0 and their
+        # score is -inf, yet one of them is in the top 4.
+        rng = np.random.default_rng(23)
+        A = normalize(np.array([1.0, 0.0, 0.0]) + 1e-3 * rng.standard_normal((3, 3)))
+        X = np.vstack([unit(-0.3, 1.0, 0.0), A, unit(-0.3, -1.0, 0.0),
+                       random_unit_rows(rng, 10, 3)])
+        labels = np.array([0] * 5 + [1] * 10)
+        theta = MixtureParams(means=np.stack([unit(1, 0, 0), unit(0, 0, 1)]),
+                              kappas=np.array([5.0, 2.0]))
+        gamma = one_hot_gamma(labels, 2)
+        cfg = GisConfig(s=4, m_neighbors=1)
+        reps = select_representatives(X, gamma, theta, cfg)
+        np.testing.assert_array_equal(reps.indices[0][3], 0)
+        assert reps.scores[0][3] == -math.inf
+        assert_matches_brute_force(X, gamma, theta, cfg)
+
+    def test_rows_longer_than_one(self):
+        # 20 rows of norm 10 have dot products near 100 with each other,
+        # so their support beats the unit rows' closer alignment with the
+        # mean. A bound that takes rho <= 1 stops before reaching them.
+        rng = np.random.default_rng(24)
+        e1 = np.array([1.0, 0.0, 0.0])
+        near_e1 = normalize(e1 + 0.05 * rng.standard_normal((60, 3)))
+        long = 10.0 * normalize(unit(0.05, 1.0, 0.0) + 0.05 * rng.standard_normal((20, 3)))
+        opposite = normalize(-e1 + 0.05 * rng.standard_normal((10, 3)))
+        X = np.vstack([near_e1, long, opposite])
+        theta = MixtureParams(means=np.stack([e1, -e1]), kappas=np.array([5.0, 5.0]))
+        gamma = posterior(theta, X)
+        cfg = GisConfig(s=5, beta=1.0)
+        reps = select_representatives(X, gamma, theta, cfg)
+        assert np.all((reps.indices[0] >= 60) & (reps.indices[0] < 80))
+        assert_matches_brute_force(X, gamma, theta, cfg)
+
+    def test_scores_few_members(self, monkeypatch):
+        # gis-reps in small: two clusters, weights 4:1, kappa 100, s = 5.
+        d, n = 32, 3000
+        means = mixture_means(2, d, 0)
+        X, _ = sample_mixture(n, means, np.full(2, 100.0), np.array([0.8, 0.2]), 0)
+        theta = MixtureParams(means=means, kappas=np.full(2, 100.0))
+        calls = count_support_rows(monkeypatch)
+        select_representatives(X, posterior(theta, X), theta, GisConfig(s=5))
+        assert len(calls) >= 2 and sum(calls) <= 0.05 * n, calls
 
 
 class TestPromptExport:

@@ -214,14 +214,18 @@ def cmd_synth(args) -> int:
     if args.weights is not None:
         weights = np.array([float(w) for w in args.weights.split(",")])
     X, labels = sample_mixture(args.n, means, kappas, weights, seed=seed_mix)
-    storage.write_embeddings(X, args.output, normalized=True)
-    if args.labels_output is not None:
-        storage.write_labels(args.labels_output, labels)
+    # The documents are made before any file is written, so a bad flag
+    # writes nothing.
+    texts = None
     if args.texts_output is not None:
         texts = make_text_corpus(
             labels, args.components, seed=seed_text,
             noise_rate=args.noise_rate, doc_len=args.doc_len,
         )
+    storage.write_embeddings(X, args.output, normalized=True)
+    if args.labels_output is not None:
+        storage.write_labels(args.labels_output, labels)
+    if texts is not None:
         storage.write_texts(args.texts_output, texts)
     _print_kv("n", args.n)
     _print_kv("d", args.d)
@@ -279,6 +283,11 @@ def _add_teacher_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--model", required=True, help="model file (JSON)")
 
 
+def _add_gis_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--gis-beta", type=float, default=1.0, help="weight of the local-support term")
+    p.add_argument("--gis-m", type=int, default=16, help="neighbors for local support")
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0, help="master seed for this command")
     p.add_argument("--deterministic", action="store_true",
@@ -316,8 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True, help="TSV: cluster, index, score")
     p.add_argument("--texts", default=None, help="escaped text file, one document per line")
     p.add_argument("--prompt-dir", default=None, help="directory for cluster_*.prompt.txt")
-    p.add_argument("--gis-beta", type=float, default=1.0)
-    p.add_argument("--gis-m", type=int, default=16, help="neighbors for local support")
+    _add_gis_flags(p)
     p.add_argument("--gis-s", type=int, default=5, help="representatives per cluster")
     _add_common(p)
     p.set_defaults(func=cmd_gis)
@@ -328,8 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True, help="student model file (GEMSTU1)")
     p.add_argument("--dataset", default=None, help="optional pseudo-labeled TSV dump")
     p.add_argument("--distill-m", type=int, default=5000, help="samples per cluster")
-    p.add_argument("--gis-beta", type=float, default=1.0)
-    p.add_argument("--gis-m", type=int, default=16)
+    _add_gis_flags(p)
     p.add_argument("--epochs", type=int, default=10)
     p.add_argument("--lr", type=float, default=0.1)
     p.add_argument("--buckets", type=int, default=1 << 21)

@@ -45,15 +45,12 @@ class GisConfig:
     s is how many representatives each cluster keeps."""
 
     beta: float = 1.0
-    eps: float = 1e-8
     m_neighbors: int = 16
     s: int = 5
 
     def validate(self) -> "GisConfig":
         if not 0.0 <= self.beta < math.inf:
             raise ValueError(f"beta must be finite and >= 0, got {self.beta}")
-        if not self.eps > 0.0:
-            raise ValueError(f"eps must be > 0, got {self.eps}")
         if self.m_neighbors < 1 or self.s < 1:
             raise ValueError("m_neighbors and s must be >= 1")
         return self
@@ -77,66 +74,41 @@ class RepresentativeSet:
 # so local_density's extra memory is O(block * n_k), never n_k^2.
 _BLOCK_ENTRIES = 1 << 17
 
+# Shift inside the certainty and support logs, log(gamma_ik + eps) and
+# log(rho + eps), so a zero never reaches the log.
+_EPS = 1e-8
 
-def local_density(
-    i: int | np.ndarray, k: int, X: np.ndarray, hard_labels: np.ndarray, m_neighbors: int
-) -> tuple[float, bool] | tuple[np.ndarray, np.ndarray]:
-    """Mean cosine from x_i to its m nearest neighbors within cluster k.
 
-    Neighbors are restricted to points hard-assigned to the same cluster;
-    a nearer point in another cluster is ignored. When the cluster has
-    fewer than m other members, all of them are used. A singleton cluster
-    has no neighbors: returns (0.0, True), the flag marking the degenerate
-    case instead of raising.
+def local_density(X_c: np.ndarray, rows: np.ndarray, m_neighbors: int) -> np.ndarray:
+    """Mean cosine from each row X_c[rows] to its m nearest other rows of X_c.
 
-    `i` may be one index, giving (float, bool), or an index array, giving
-    parallel (rho, singleton) arrays. The cluster is gathered once and
-    compared with the points in row blocks of at most _BLOCK_ENTRIES
-    cosines.
+    X_c holds one cluster's members and `rows` are positions within it, so
+    a nearer point in another cluster is never seen. When the cluster has
+    fewer than m other members, all of them are used; a singleton cluster
+    has no neighbors and gets rho = 0. The rows are compared with the
+    cluster in blocks of at most _BLOCK_ENTRIES cosines.
     """
-    X = np.asarray(X, dtype=np.float64)
-    hard_labels = np.asarray(hard_labels)
-    if hard_labels.shape[0] != X.shape[0]:
-        raise SizeMismatchError(
-            f"{X.shape[0]} points vs {hard_labels.shape[0]} labels"
-        )
-    idx = np.asarray(i, dtype=np.int64)
-    scalar = idx.ndim == 0
-    idx = idx.reshape(-1)
-    members = np.flatnonzero(hard_labels == k)
-    n_k = members.size
-    col = np.searchsorted(members, idx)  # each point's column in the cluster
-    inside = col < n_k
-    inside[inside] = members[col[inside]] == idx[inside]
-    X_c = X[members]
-    block = max(1, _BLOCK_ENTRIES // max(n_k, 1))
-    rho = np.zeros(idx.size)
-    singleton = np.zeros(idx.size, dtype=bool)
-    for is_member in (True, False):
-        rows = np.flatnonzero(inside == is_member)
-        others = n_k - 1 if is_member else n_k
-        if others == 0:
-            singleton[rows] = True
-            continue
-        m = min(m_neighbors, others)
-        for lo in range(0, rows.size, block):
-            r = rows[lo : lo + block]
-            cos = X[idx[r]] @ X_c.T
-            if is_member:
-                cos[np.arange(r.size), col[r]] = -np.inf
-            cos.partition(n_k - m, axis=1)
-            # Ascending, as np.sort(cos)[-m:] leaves them, so the mean sums
-            # in one order whatever the block.
-            rho[r] = np.sort(cos[:, n_k - m :], axis=1).mean(axis=1)
-    if scalar:
-        return float(rho[0]), bool(singleton[0])
-    return rho, singleton
+    n_k = X_c.shape[0]
+    rho = np.zeros(rows.size)
+    if n_k == 1:
+        return rho
+    m = min(m_neighbors, n_k - 1)
+    block = max(1, _BLOCK_ENTRIES // n_k)
+    for lo in range(0, rows.size, block):
+        r = rows[lo : lo + block]
+        cos = X_c[r] @ X_c.T
+        cos[np.arange(r.size), r] = -np.inf
+        cos.partition(n_k - m, axis=1)
+        # Ascending, as np.sort(cos)[-m:] leaves them, so the mean sums
+        # in one order whatever the block.
+        rho[lo : lo + block] = np.sort(cos[:, n_k - m :], axis=1).mean(axis=1)
+    return rho
 
 
 def _support(rho: float | np.ndarray, cfg: GisConfig) -> np.ndarray:
     """The support term beta log(rho + eps): zero at beta = 0 whatever rho
     is, otherwise -inf where rho + eps <= 0."""
-    shifted = np.asarray(rho, dtype=np.float64) + cfg.eps
+    shifted = np.asarray(rho, dtype=np.float64) + _EPS
     support = np.zeros(shifted.shape)
     if cfg.beta != 0.0:
         pos = shifted > 0.0
@@ -165,7 +137,7 @@ def gis_score(
     parallel arrays, giving an array of scores.
     """
     idx = np.asarray(i, dtype=np.int64)
-    certainty = np.log(gamma[idx, k] + cfg.eps)
+    certainty = np.log(gamma[idx, k] + _EPS)
     coherence = vmf_log_density(X[idx], theta.means[k], float(theta.kappas[k]))
     out = certainty + coherence + _support(rho, cfg)
     return float(out) if idx.ndim == 0 else out
@@ -213,6 +185,8 @@ def select_representatives(
             scores.append(np.empty(0, dtype=np.float64))
             continue
         cheap = gis_score(members, k, X, gamma, theta, 0.0, no_support)
+        # Gathered after gis_score, so its temporaries and X_c never coexist.
+        X_c = X[members]
         lengths = norms[members]
         bound = cheap + _support(lengths * (lengths.max() * (1.0 + slack)), cfg)
         visit = np.lexsort((members, -bound))
@@ -220,7 +194,7 @@ def select_representatives(
         seen, size = 0, cfg.s
         while True:
             block = np.sort(visit[seen : seen + size])
-            rho, _ = local_density(members[block], k, X, labels, cfg.m_neighbors)
+            rho = local_density(X_c, block, cfg.m_neighbors)
             # Every full score adds its support to the same cheap value its
             # bound does, so a score never rounds above its bound.
             vals[block] = cheap[block] + _support(rho, cfg)

@@ -40,10 +40,12 @@ def sample_mixture(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw n points from the vMF mixture; returns (X, true labels).
 
-    weights default to uniform; they are normalized if they do not sum
-    to 1. Component draws use child seeds split from the master seed, so
-    the overall draw is deterministic.
+    n must be >= 1. weights default to uniform; they must be finite and
+    are normalized if they do not sum to 1. Component draws use child
+    seeds split from the master seed, so the overall draw is deterministic.
     """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     means = normalize(np.asarray(means, dtype=np.float64))
     kappas = np.asarray(kappas, dtype=np.float64)
     k = means.shape[0]
@@ -55,6 +57,8 @@ def sample_mixture(
         weights = np.asarray(weights, dtype=np.float64)
         if weights.shape != (k,):
             raise SizeMismatchError(f"{k} means but weights shape {weights.shape}")
+        if not np.all(np.isfinite(weights)):
+            raise ValueError(f"weights must be finite, got {weights.tolist()}")
         if np.any(weights < 0) or weights.sum() <= 0:
             raise ValueError("weights must be nonnegative with positive sum")
         weights = weights / weights.sum()
@@ -89,6 +93,8 @@ def make_text_corpus(
     vocabulary id."""
     if not 0.0 <= noise_rate <= 1.0:
         raise ValueError(f"noise_rate must lie in [0, 1], got {noise_rate}")
+    if doc_len < 0:
+        raise ValueError(f"doc_len must be >= 0, got {doc_len}")
     labels = np.asarray(labels)
     if labels.size and (labels.min() < 0 or labels.max() >= k):
         raise ValueError("labels must lie in [0, k)")

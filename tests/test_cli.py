@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -356,6 +357,37 @@ class TestErrorExits:
         assert code == 1
         assert "component" in out.err and "ZeroDivisionError" not in out.err
         assert not emb.exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--weights", "1,inf,1"], "weights must be finite, got [1.0, inf, 1.0]"),
+        (["--weights", "1,nan,1"], "weights must be finite, got [1.0, nan, 1.0]"),
+        (["--n", -5], "n must be >= 1, got -5"),
+        (["--n", 0], "n must be >= 1, got 0"),
+        (["--doc-len", -1], "doc_len must be >= 0, got -1"),
+    ])
+    def test_synth_bad_sizes_and_weights_exit_one(self, tmp_path, capsys, flags, message):
+        outputs = [tmp_path / "e.bin", tmp_path / "l.txt", tmp_path / "t.txt"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, _, out = run(capsys, "synth", "--output", outputs[0],
+                               "--labels-output", outputs[1], "--texts-output", outputs[2],
+                               "--n", 50, "--weights", "1,1,1", *flags)
+        assert code == 1
+        assert out.err == f"spheremix: ValueError: {message}\n"
+        assert not any(path.exists() for path in outputs)
+
+    def test_gis_m_zero_exits_one(self, tmp_path, capsys):
+        emb, _ = make_corpus(tmp_path, capsys, n=200, components=2, texts=True)
+        model = tmp_path / "model.json"
+        run(capsys, "fit", "--input", emb, "--output", model, "--k", 2)
+        reps, student, dataset = tmp_path / "r.tsv", tmp_path / "s.bin", tmp_path / "d.tsv"
+        for argv in (["gis", "--output", reps],
+                     ["distill", "--texts", tmp_path / "texts.txt", "--output", student,
+                      "--dataset", dataset]):
+            code, _, out = run(capsys, *argv, "--input", emb, "--model", model, "--gis-m", 0)
+            assert code == 1
+            assert "m_neighbors and s must be >= 1" in out.err
+        assert not reps.exists() and not student.exists() and not dataset.exists()
 
     def test_model_without_components_is_data_error(self, tmp_path, capsys):
         emb, _ = make_corpus(tmp_path, capsys, n=100, components=2)

@@ -38,44 +38,49 @@ def point_at_cosine(base: np.ndarray, c: float) -> np.ndarray:
 class TestLocalDensity:
     def test_identical_neighbor(self):
         x = normalize(np.array([1.0, 1.0]))
-        X = np.stack([x, x])
-        rho, singleton = local_density(0, 0, X, np.array([0, 0]), 1)
-        assert rho == pytest.approx(1.0)
-        assert not singleton
+        rho = local_density(np.stack([x, x]), np.array([0]), 1)
+        assert rho[0] == pytest.approx(1.0)
 
     def test_mean_of_two_cosines(self):
         base = np.array([1.0, 0.0, 0.0])
-        X = np.stack([base, point_at_cosine(base, 0.9), point_at_cosine(base, 0.7)])
-        rho, _ = local_density(0, 0, X, np.zeros(3, dtype=int), 2)
-        assert rho == pytest.approx(0.8)
+        X_c = np.stack([base, point_at_cosine(base, 0.9), point_at_cosine(base, 0.7)])
+        rho = local_density(X_c, np.array([0]), 2)
+        assert rho[0] == pytest.approx(0.8)
 
     def test_cross_cluster_neighbor_ignored(self):
+        # Point 0's nearest point is in cluster 1, so its support is the
+        # cosine to its one same-cluster neighbor, 0.5.
         base = np.array([1.0, 0.0, 0.0])
-        near_other = point_at_cosine(base, 0.99)   # nearest overall, wrong cluster
+        near_other = point_at_cosine(base, 0.99)
         far_same = point_at_cosine(base, 0.5)
         X = np.stack([base, near_other, far_same])
-        rho, _ = local_density(0, 0, X, np.array([0, 1, 0]), 1)
-        assert rho == pytest.approx(0.5)
+        theta = MixtureParams(means=np.stack([base, near_other]), kappas=np.array([4.0, 4.0]))
+        gamma = one_hot_gamma(np.array([0, 1, 0]), 2)
+        cfg = GisConfig(s=2, m_neighbors=1)
+        reps = select_representatives(X, gamma, theta, cfg)
+        want = gis_score(np.array([0, 2]), 0, X, gamma, theta, 0.5, cfg)
+        np.testing.assert_array_equal(reps.indices[0], [0, 2])
+        np.testing.assert_allclose(reps.scores[0], want, atol=1e-12)
 
     def test_singleton_flag(self):
-        X = np.eye(3)
-        rho, singleton = local_density(0, 0, X, np.array([0, 1, 1]), 4)
-        assert rho == 0.0 and singleton
+        # A one-member cluster has no neighbors: rho is 0, not an error.
+        rho = local_density(np.eye(3)[:1], np.array([0]), 4)
+        np.testing.assert_array_equal(rho, [0.0])
 
     def test_fewer_members_than_m(self):
         base = np.array([1.0, 0.0, 0.0])
-        X = np.stack([base, point_at_cosine(base, 0.6), point_at_cosine(base, 0.2)])
-        rho, _ = local_density(0, 0, X, np.zeros(3, dtype=int), 16)
-        assert rho == pytest.approx(0.4)
+        X_c = np.stack([base, point_at_cosine(base, 0.6), point_at_cosine(base, 0.2)])
+        rho = local_density(X_c, np.array([0]), 16)
+        assert rho[0] == pytest.approx(0.4)
 
     def test_bounded(self):
         rng = np.random.default_rng(0)
         X = random_unit_rows(rng, 60, 5)
         labels = rng.integers(0, 3, size=60)
-        for i in range(60):
-            rho, singleton = local_density(i, int(labels[i]), X, labels, 8)
-            assert -1.0 - 1e-12 <= rho <= 1.0 + 1e-12
-            assert not singleton or rho == 0.0
+        for k in range(3):
+            X_c = X[labels == k]
+            rho = local_density(X_c, np.arange(X_c.shape[0]), 8)
+            assert np.all((-1.0 - 1e-12 <= rho) & (rho <= 1.0 + 1e-12))
 
 
 class TestGisScore:
@@ -92,7 +97,7 @@ class TestGisScore:
         cfg = GisConfig()
         a = gis_score(0, 0, self.X, gamma, self.theta, 0.3, cfg)
         b = gis_score(1, 0, self.X, gamma, self.theta, 0.3, cfg)
-        want = math.log(0.9 + cfg.eps) - math.log(0.5 + cfg.eps)
+        want = math.log(0.9 + 1e-8) - math.log(0.5 + 1e-8)
         assert a - b == pytest.approx(want, abs=1e-12)
 
     def test_beta_zero_ranks_by_alignment(self):
@@ -148,11 +153,11 @@ def brute_force_reps(X, gamma, theta, cfg):
                 rho = float(np.mean(cos[: cfg.m_neighbors]))
             else:
                 rho = 0.0
-            cert = math.log(gamma[i, k] + cfg.eps)
+            cert = math.log(gamma[i, k] + 1e-8)
             dens = log_vmf_norm_const(X.shape[1], float(theta.kappas[k])) + float(
                 theta.kappas[k] * (X[i] @ theta.means[k])
             )
-            shifted = rho + cfg.eps
+            shifted = rho + 1e-8
             if cfg.beta == 0.0:
                 sup = 0.0
             else:
@@ -213,7 +218,8 @@ class TestSelectRepresentatives:
 
     def test_default_config(self):
         cfg = GisConfig()
-        assert cfg.s == 5 and cfg.beta == 1.0 and cfg.eps == 1e-8 and cfg.m_neighbors == 16
+        assert cfg.s == 5 and cfg.beta == 1.0 and cfg.m_neighbors == 16
+        assert gis._EPS == 1e-8
 
     def test_rejects_noise_points(self):
         # clean caps plus 5% uniform noise: influence ranking must keep
@@ -276,8 +282,7 @@ class TestBlockedGisOracle:
         theta = random_params(rng, 3, 4)
         labels = np.array([0] * 10 + [1] + [2] * 9)
         assert_matches_brute_force(X, one_hot_gamma(labels, 3), theta, GisConfig(s=3))
-        rho, singleton = local_density(10, 1, X, labels, 4)
-        assert rho == 0.0 and singleton
+        np.testing.assert_array_equal(local_density(X[10:11], np.array([0]), 4), [0.0])
 
     def test_duplicate_rows_tie_to_lower_index(self):
         rng = np.random.default_rng(13)
@@ -305,45 +310,31 @@ class TestBlockedGisOracle:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             reps = select_representatives(X, gamma, theta, cfg)
-            rho, _ = local_density(np.arange(4), 0, X, labels, 16)
-            scores = gis_score(np.arange(4), 0, X, gamma, theta, rho, cfg)
-        assert np.all(rho[:2] <= -cfg.eps)
+            rho = local_density(X[:2], np.arange(2), 16)
+            scores = gis_score(np.arange(2), 0, X, gamma, theta, rho, cfg)
+        assert np.all(rho <= -1e-8)
         if beta == 0.0:
             assert np.all(np.isfinite(scores))
         else:
-            assert np.all(scores[:2] == -math.inf)
+            assert np.all(scores == -math.inf)
             assert all(np.all(sc == -math.inf) for sc in reps.scores)
         assert_matches_brute_force(X, gamma, theta, cfg)
-
-    def test_non_member_uses_every_member(self):
-        rng = np.random.default_rng(14)
-        X = random_unit_rows(rng, 30, 4)
-        labels = np.array([0] * 20 + [1] * 10)
-        for m in (3, 10, 25):
-            rho, singleton = local_density(25, 0, X, labels, m)
-            cos = np.sort(X[:20] @ X[25])[::-1]
-            assert rho == pytest.approx(float(np.mean(cos[:m])), abs=1e-12)
-            assert not singleton
-        # an empty cluster has no neighbors for anyone
-        assert local_density(25, 2, X, labels, 4) == (0.0, True)
 
     def test_array_and_scalar_forms_agree(self):
         rng = np.random.default_rng(15)
         X = random_unit_rows(rng, 900, 5)
         labels = rng.integers(0, 2, size=900)
-        labels[:3] = [0, 1, 1]
-        theta = random_params(rng, 3, 5)  # cluster 2 is empty
-        gamma = random_gamma(rng, 900, 3)
+        theta = random_params(rng, 2, 5)
+        gamma = random_gamma(rng, 900, 2)
         cfg = GisConfig(m_neighbors=7)
-        idx = np.concatenate([rng.permutation(900)[:300], [0, 0, 899]])
-        for k in range(3):
-            rho, singleton = local_density(idx, k, X, labels, cfg.m_neighbors)
+        for k in range(2):
+            members = np.flatnonzero(labels == k)
+            rows = np.concatenate([rng.permutation(members.size)[:300], [0, 0, members.size - 1]])
+            rho = local_density(X[members], rows, cfg.m_neighbors)
+            idx = members[rows]
             scores = gis_score(idx, k, X, gamma, theta, rho, cfg)
             for j, i in enumerate(idx):
-                r, flag = local_density(int(i), k, X, labels, cfg.m_neighbors)
-                assert isinstance(r, float) and isinstance(flag, bool)
-                assert abs(r - rho[j]) <= 1e-12 and flag == singleton[j]
-                sc = gis_score(int(i), k, X, gamma, theta, r, cfg)
+                sc = gis_score(int(i), k, X, gamma, theta, float(rho[j]), cfg)
                 assert isinstance(sc, float)
                 assert abs(sc - scores[j]) <= 1e-12
 
@@ -361,6 +352,21 @@ class TestBlockedGisOracle:
             tracemalloc.stop()
         assert peak < 4 * 2**20, peak
 
+    def test_one_gather_of_the_cluster_at_a_time(self):
+        # One 20,000-row cluster: gis_score's gather of the members and the
+        # cluster gathered for local_density must not be held at once.
+        rng = np.random.default_rng(17)
+        X = random_unit_rows(rng, 20_000, 64)
+        theta = random_params(rng, 1, 64)
+        gamma = np.ones((X.shape[0], 1))
+        tracemalloc.start()
+        try:
+            select_representatives(X, gamma, theta, GisConfig())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.6 * X.nbytes, peak / X.nbytes
+
 
 def unit(*v):
     v = np.asarray(v, dtype=np.float64)
@@ -372,9 +378,9 @@ def count_support_rows(monkeypatch):
     calls = []
     real = gis.local_density
 
-    def counted(i, *args):
-        calls.append(np.size(i))
-        return real(i, *args)
+    def counted(X_c, rows, m_neighbors):
+        calls.append(rows.size)
+        return real(X_c, rows, m_neighbors)
 
     monkeypatch.setattr(gis, "local_density", counted)
     return calls

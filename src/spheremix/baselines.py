@@ -62,21 +62,19 @@ _EUCLIDEAN = (
 )
 
 
-def kmeans_fit(X: np.ndarray, k: int, seed: int, max_rounds: int = 100) -> HardPartition:
+def kmeans_fit(X: np.ndarray, k: int, seed: int) -> HardPartition:
     """Lloyd's algorithm in Euclidean space with k-means++ seeding;
     deterministic for a fixed seed."""
     X = np.asarray(X, dtype=np.float64)
-    _, labels = _kmeans(X, k, seed, max_rounds, _EUCLIDEAN)
+    _, labels = _kmeans(X, k, seed, _EUCLIDEAN)
     return HardPartition(labels=labels, k=k).validate()
 
 
-def spherical_kmeans_fit(
-    X: np.ndarray, k: int, seed: int, max_rounds: int = 100
-) -> HardPartition:
+def spherical_kmeans_fit(X: np.ndarray, k: int, seed: int) -> HardPartition:
     """k-means with cosine assignment and normalized-resultant centroids
     (Dhillon & Modha 2001), the fit's initializer run on the normalized
     rows as a hard clustering."""
-    _, labels = _kmeans(as_embeddings(normalize(X)), k, seed, max_rounds, _SPHERICAL)
+    _, labels = _kmeans(as_embeddings(normalize(X)), k, seed, _SPHERICAL)
     return HardPartition(labels=labels, k=k).validate()
 
 

@@ -21,6 +21,7 @@ import numpy as np
 from . import _cap_threads, storage
 from .baselines import HardPartition, collapse_report, hungarian_match, nmi
 from .distill import (
+    DEFAULT_BUCKETS,
     FeaturizerSpec,
     build_pseudo_labeled,
     evaluate_student,
@@ -32,6 +33,9 @@ from .gis import GisConfig, export_taxonomy_prompts, select_representatives
 from .inference import FitConfig, FitResult, fit
 from .objective import MixtureParams, empirical_mass, posterior
 from .synth import make_text_corpus, mixture_means, sample_mixture
+
+# The library's defaults, which the flags of the same name take.
+_FIT, _GIS = FitConfig(), GisConfig()
 
 
 def _child_seeds(master: int, n: int) -> list[int]:
@@ -164,11 +168,13 @@ def cmd_distill(args) -> int:
         GisConfig(beta=args.gis_beta, m_neighbors=args.gis_m),
         seed=seed_shuffle,
     )
-    if args.dataset is not None:
-        storage.write_dataset_tsv(args.dataset, ds.labels, ds.texts)
     train, val, test = split_dataset(ds, seed=seed_split)
     spec = FeaturizerSpec(buckets=args.buckets, hash_seed=args.seed % 2**32)
     model = train_student(train, epochs=args.epochs, lr=args.lr, seed=seed_train, spec=spec)
+    # Written only once training has accepted its flags, so a bad one
+    # writes nothing.
+    if args.dataset is not None:
+        storage.write_dataset_tsv(args.dataset, ds.labels, ds.texts)
     storage.save_student(args.output, model)
 
     _print_kv("train_size", len(train))
@@ -273,7 +279,7 @@ def cmd_sweep(args) -> int:
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--max-iters", type=int, default=200)
+    p.add_argument("--max-iters", type=int, default=_FIT.max_iters)
     p.add_argument("--stop-tol", type=float, default=None,
                    help="absolute objective-change tolerance (default 1e-4 * n)")
 
@@ -284,8 +290,10 @@ def _add_teacher_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_gis_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--gis-beta", type=float, default=1.0, help="weight of the local-support term")
-    p.add_argument("--gis-m", type=int, default=16, help="neighbors for local support")
+    p.add_argument("--gis-beta", type=float, default=_GIS.beta,
+                   help="weight of the local-support term")
+    p.add_argument("--gis-m", type=int, default=_GIS.m_neighbors,
+                   help="neighbors for local support")
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -307,8 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", default=None, help="objective trace CSV (default <output>.trace.csv)")
     p.add_argument("--seed-fraction", type=float, default=1.0,
                    help="subsample this fraction of rows before fitting")
-    p.add_argument("--k", type=int, default=24, help="number of clusters")
-    p.add_argument("--lambda", dest="lam", type=float, default=5000.0,
+    p.add_argument("--k", type=int, default=_FIT.k, help="number of clusters")
+    p.add_argument("--lambda", dest="lam", type=float, default=_FIT.lam,
                    help="balance regularization strength")
     _add_solver_flags(p)
     _add_common(p)
@@ -326,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--texts", default=None, help="escaped text file, one document per line")
     p.add_argument("--prompt-dir", default=None, help="directory for cluster_*.prompt.txt")
     _add_gis_flags(p)
-    p.add_argument("--gis-s", type=int, default=5, help="representatives per cluster")
+    p.add_argument("--gis-s", type=int, default=_GIS.s, help="representatives per cluster")
     _add_common(p)
     p.set_defaults(func=cmd_gis)
 
@@ -339,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_gis_flags(p)
     p.add_argument("--epochs", type=int, default=10)
     p.add_argument("--lr", type=float, default=0.1)
-    p.add_argument("--buckets", type=int, default=1 << 21)
+    p.add_argument("--buckets", type=int, default=DEFAULT_BUCKETS)
     _add_common(p)
     p.set_defaults(func=cmd_distill)
 

@@ -35,8 +35,8 @@ class FeaturizerSpec:
     hash_seed: int = 0
 
     def validate(self) -> "FeaturizerSpec":
-        if self.buckets < 1:
-            raise ValueError(f"buckets must be >= 1, got {self.buckets}")
+        if not 1 <= self.buckets < 2**32:  # stored as a u32
+            raise ValueError(f"buckets must lie in [1, 2^32), got {self.buckets}")
         if not 1 <= self.ngram_max <= 8:
             raise ValueError(f"ngram_max must lie in [1, 8], got {self.ngram_max}")
         if not 0 <= self.hash_seed < 2**32:
@@ -185,17 +185,13 @@ def _shuffled_set(
 
 
 def split_dataset(
-    ds: PseudoLabeledSet,
-    fractions: tuple[float, float, float] = (0.8, 0.1, 0.1),
-    seed: int = 0,
+    ds: PseudoLabeledSet, seed: int = 0
 ) -> tuple[PseudoLabeledSet, PseudoLabeledSet, PseudoLabeledSet]:
-    """Shuffled train/validation/test split by the given fractions."""
-    if abs(sum(fractions) - 1.0) > 1e-9 or any(f < 0 for f in fractions):
-        raise ValueError(f"fractions must be nonnegative and sum to 1, got {fractions}")
+    """Shuffled 80/10/10 train/validation/test split."""
     n = len(ds)
     order = np.random.default_rng(seed).permutation(n)
-    n_train = int(round(fractions[0] * n))
-    n_val = int(round(fractions[1] * n))
+    n_train = int(round(0.8 * n))
+    n_val = int(round(0.1 * n))
     return (
         ds.subset(order[:n_train]),
         ds.subset(order[n_train : n_train + n_val]),

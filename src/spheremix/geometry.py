@@ -22,6 +22,10 @@ KAPPA_MAX = 1e6
 
 _NORM_EPS = 1e-12
 
+# How far a row's norm may sit from 1 and still count as unit length: the
+# bound for the GEMEMB1 normalized flag and for the rows fit() accepts.
+UNIT_TOL = 1e-5
+
 
 def normalize(v: np.ndarray) -> np.ndarray:
     """Project a vector (or each row of a matrix) onto the unit sphere.
@@ -43,8 +47,8 @@ def normalize(v: np.ndarray) -> np.ndarray:
     return v / norms[:, None]
 
 
-def as_embeddings(X: np.ndarray, *, atol: float = 1e-6) -> np.ndarray:
-    """Validate an (n, d) array of unit rows and return it as float64."""
+def as_embeddings(X: np.ndarray) -> np.ndarray:
+    """Validate an (n, d) array of unit rows (UNIT_TOL) and return it as float64."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise DimensionMismatchError(f"expected a 2-d array, got shape {X.shape}")
@@ -52,7 +56,7 @@ def as_embeddings(X: np.ndarray, *, atol: float = 1e-6) -> np.ndarray:
     if n < 1 or d < 2:
         raise DimensionMismatchError(f"need n >= 1 and d >= 2, got shape {X.shape}")
     norms = np.linalg.norm(X, axis=1)
-    if not np.all(np.abs(norms - 1.0) <= atol):  # NaN rows fail too
+    if not np.all(np.abs(norms - 1.0) <= UNIT_TOL):  # NaN rows fail too
         bad = int(np.argmax(np.abs(norms - 1.0)))
         raise ZeroVectorError(
             f"row {bad} has norm {norms[bad]:.6f}; embeddings must be unit length"

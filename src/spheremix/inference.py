@@ -29,10 +29,12 @@ from .objective import (
 )
 
 # Solver constants: E-step sweeps per iteration, the M-step's division
-# guard, and the concentration of initial and reseeded components.
+# guard, the concentration of initial and reseeded components, and the cap
+# on k-means Lloyd rounds.
 _ESTEP_SWEEPS = 3
 _EPS = 1e-8
 _KAPPA_INIT = 1.0
+_MAX_ROUNDS = 100
 
 # A cluster whose total responsibility falls below 10 * eps * n is treated
 # as empty and reseeded on the worst-explained point.
@@ -88,11 +90,9 @@ class FitResult:
         return np.argmax(self.gamma, axis=1)
 
 
-def _kmeans(
-    X: np.ndarray, k: int, seed: int, max_rounds: int, steps: tuple
-) -> tuple[np.ndarray, np.ndarray]:
+def _kmeans(X: np.ndarray, k: int, seed: int, steps: tuple) -> tuple[np.ndarray, np.ndarray]:
     """k-means++ seeding (Arthur & Vassilvitskii 2007), then Lloyd rounds
-    until no label changes or max_rounds; returns (centers, labels), each
+    until no label changes or _MAX_ROUNDS; returns (centers, labels), each
     label the point's nearest final center. steps carries the geometry:
     spread(X, c), each point's ++ weight from one center; closeness(X, C),
     (n, k), larger is nearer; own_closeness(X, C, labels), each point's
@@ -116,7 +116,7 @@ def _kmeans(
         d2 = np.minimum(d2, spread(X, centers[j]))
 
     labels = np.argmax(closeness(X, centers), axis=1)
-    for _ in range(max_rounds):
+    for _ in range(_MAX_ROUNDS):
         for j in range(k):
             mask = labels == j
             if not np.any(mask):
@@ -142,13 +142,11 @@ _SPHERICAL = (
 )
 
 
-def init_spherical_kmeans(
-    X: np.ndarray, k: int, seed: int, max_rounds: int = 100
-) -> MixtureParams:
+def init_spherical_kmeans(X: np.ndarray, k: int, seed: int) -> MixtureParams:
     """Spherical k-means initializer: cosine k-means++ seeding, then Lloyd
     rounds with normalized-resultant centroids. Returns mean directions
     with every kappa set to _KAPPA_INIT."""
-    centers, _ = _kmeans(as_embeddings(X), k, seed, max_rounds, _SPHERICAL)
+    centers, _ = _kmeans(as_embeddings(X), k, seed, _SPHERICAL)
     return MixtureParams(means=centers, kappas=np.full(k, _KAPPA_INIT)).validate()
 
 
@@ -181,7 +179,7 @@ def e_step(scores: np.ndarray, gamma: np.ndarray, cfg: FitConfig) -> np.ndarray:
     return best
 
 
-def m_step_mu(r: np.ndarray, eps: float = _EPS) -> np.ndarray:
+def m_step_mu(r: np.ndarray) -> np.ndarray:
     """Closed-form mean directions from the (k, d) resultants
     r_k = sum_i gamma_ik x_i: each row normalized.
 
@@ -189,21 +187,21 @@ def m_step_mu(r: np.ndarray, eps: float = _EPS) -> np.ndarray:
     fit() reseeds such clusters before the result is used.
     """
     norms = np.linalg.norm(r, axis=1)
-    means = r / (norms + eps)[:, None]
+    means = r / (norms + _EPS)[:, None]
     live = norms > 0.0
     means[live] /= np.linalg.norm(means[live], axis=1)[:, None]
     return means
 
 
-def m_step_kappa(r: np.ndarray, n_k: np.ndarray, eps: float = _EPS) -> np.ndarray:
+def m_step_kappa(r: np.ndarray, n_k: np.ndarray) -> np.ndarray:
     """Closed-form concentrations from the (k, d) resultants r_k and the
     masses n_k = sum_i gamma_ik.
 
-    R_k = ||r_k|| / (n_k + eps), clamped into [0, 1 - 1e-6];
+    R_k = ||r_k|| / (n_k + _EPS), clamped into [0, 1 - 1e-6];
     kappa_k = (R_k d - R_k^3) / (1 - R_k^2), clamped into [0, KAPPA_MAX].
     """
     d = r.shape[1]
-    rbar = np.linalg.norm(r, axis=1) / (n_k + eps)
+    rbar = np.linalg.norm(r, axis=1) / (n_k + _EPS)
     rbar = np.clip(rbar, 0.0, 1.0 - 1e-6)
     kappa = (rbar * d - rbar**3) / (1.0 - rbar**2)
     return np.clip(kappa, 0.0, KAPPA_MAX)

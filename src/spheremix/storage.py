@@ -28,6 +28,7 @@ from .errors import (
     SizeMismatchError,
     TruncatedPayloadError,
 )
+from .geometry import UNIT_TOL
 from .inference import FitConfig
 from .objective import MixtureParams
 
@@ -35,7 +36,6 @@ EMB_MAGIC = b"GEMEMB1"
 EMB_VERSION = 1
 STUDENT_MAGIC = b"GEMSTU1"
 MODEL_FORMAT = "GEMMODEL1"
-_UNIT_TOL = 1e-5
 
 
 def atomic_write_bytes(path: str | Path, data: bytes) -> None:
@@ -64,7 +64,7 @@ def write_embeddings(X: np.ndarray, path: str | Path, normalized: bool | None = 
     """Serialize (n, d) vectors as f32 rows under the GEMEMB1 header.
 
     normalized = None auto-detects whether every f32 row is unit length
-    within 1e-5 and sets the header flag accordingly; passing True with
+    within UNIT_TOL and sets the header flag accordingly; passing True with
     non-unit rows raises NormFlagViolationError.
     """
     X32 = np.ascontiguousarray(np.asarray(X), dtype="<f4")
@@ -72,7 +72,7 @@ def write_embeddings(X: np.ndarray, path: str | Path, normalized: bool | None = 
         raise SizeMismatchError(f"expected (n, d) array, got shape {X32.shape}")
     n, d = X32.shape
     unit = bool(
-        np.all(np.abs(np.linalg.norm(X32.astype(np.float64), axis=1) - 1.0) <= _UNIT_TOL)
+        np.all(np.abs(np.linalg.norm(X32.astype(np.float64), axis=1) - 1.0) <= UNIT_TOL)
     )
     if normalized is None:
         normalized = unit
@@ -112,7 +112,7 @@ def read_embeddings(path: str | Path) -> np.ndarray:
         raise MalformedFileError(
             f"{path}: row {int(np.argmin(finite))} holds a NaN or infinite value"
         )
-    if flag and np.any(np.abs(norms - 1.0) > _UNIT_TOL):
+    if flag and np.any(np.abs(norms - 1.0) > UNIT_TOL):
         bad = int(np.argmax(np.abs(norms - 1.0)))
         raise NormFlagViolationError(
             f"{path}: normalized flag set but row {bad} has norm {norms[bad]:.6f}"

@@ -14,6 +14,10 @@ import numpy as np
 from .errors import DimensionMismatchError, SizeMismatchError
 from .geometry import normalize, sample_uniform_sphere, sample_vmf
 
+# make_text_corpus: private words per cluster, and words shared by all.
+_WORDS_PER_CLUSTER = 40
+_NOISE_WORDS = 60
+
 
 def mixture_means(k: int, d: int, seed: int, arrangement: str = "orthogonal") -> np.ndarray:
     """k unit mean directions: mutually orthogonal (requires k <= d) or
@@ -82,8 +86,6 @@ def make_text_corpus(
     labels: np.ndarray,
     k: int,
     seed: int = 0,
-    words_per_cluster: int = 40,
-    noise_words: int = 60,
     noise_rate: float = 0.3,
     doc_len: int = 30,
 ) -> list[str]:
@@ -99,10 +101,8 @@ def make_text_corpus(
     if labels.size and (labels.min() < 0 or labels.max() >= k):
         raise ValueError("labels must lie in [0, k)")
     rng = np.random.default_rng(seed)
-    vocab = [
-        [f"w{c}x{j}" for j in range(words_per_cluster)] for c in range(k)
-    ]
-    noise = [f"zq{j}" for j in range(noise_words)]
+    vocab = [[f"w{c}x{j}" for j in range(_WORDS_PER_CLUSTER)] for c in range(k)]
+    noise = [f"zq{j}" for j in range(_NOISE_WORDS)]
     docs = []
     for lab in labels:
         own = vocab[int(lab)]
@@ -117,48 +117,33 @@ def make_text_corpus(
     return docs
 
 
-def collapse_stress_corpus(
-    n: int,
-    k: int,
-    d: int,
-    seed: int,
-    giant_share: float = 0.7,
-    giant_kappa: float = 30.0,
-    small_kappa: float = 10.0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Anisotropy-stressed layout: one dominant dense cap holding
-    giant_share of the mass plus k - 1 small diffuse caps. Euclidean
-    k-means parks a single center on the dense cap and inherits its full
-    share; adaptive concentrations shrink the dense component's catchment
-    and a balance penalty splits it outright."""
+def collapse_stress_corpus(n: int, k: int, d: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Anisotropy-stressed layout: one dominant dense cap (kappa 30)
+    holding 70% of the mass plus k - 1 small diffuse caps (kappa 10).
+    Euclidean k-means parks a single center on the dense cap and inherits
+    its full share; adaptive concentrations shrink the dense component's
+    catchment and a balance penalty splits it outright."""
     if k < 2:
         raise ValueError(f"need k >= 2, got {k}")
-    if not 0.0 < giant_share < 1.0:
-        raise ValueError(f"giant_share must lie in (0, 1), got {giant_share}")
+    giant_share = 0.7
     means = mixture_means(k, d, seed, arrangement="orthogonal" if k <= d else "random")
-    kappas = np.full(k, small_kappa)
-    kappas[0] = giant_kappa
+    kappas = np.full(k, 10.0)
+    kappas[0] = 30.0
     weights = np.full(k, (1.0 - giant_share) / (k - 1))
     weights[0] = giant_share
     return sample_mixture(n, means, kappas, weights, seed=seed)
 
 
-def crowded_trio_corpus(
-    n: int,
-    d: int,
-    seed: int,
-    tilt: float = 0.45,
-    crowd_kappa: float = 60.0,
-    spread_kappa: float = 8.0,
-    crowd_share: float = 0.6,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Merge-stressed layout with k = 6: three tight caps crowded around a
-    shared axis (tilt controls their angular spread) plus three mutually
-    orthogonal diffuse caps. Distance-based clustering tends to fuse the
-    crowded trio into one blob and shave the diffuse caps apart; telling
-    the trio apart requires concentration-aware assignments."""
+def crowded_trio_corpus(n: int, d: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Merge-stressed layout with k = 6: three tight caps (kappa 60, 60% of
+    the mass) crowded around a shared axis, each tilted 0.45 off it, plus
+    three mutually orthogonal diffuse caps (kappa 8). Distance-based
+    clustering tends to fuse the crowded trio into one blob and shave the
+    diffuse caps apart; telling the trio apart requires
+    concentration-aware assignments."""
     if d < 6:
         raise ValueError(f"need d >= 6, got {d}")
+    tilt, crowd_share = 0.45, 0.6
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.standard_normal((d, 6)))
     q = q.T
@@ -172,6 +157,6 @@ def crowded_trio_corpus(
         )
     )
     means = np.vstack([trio, q[3:6]])
-    kappas = np.array([crowd_kappa] * 3 + [spread_kappa] * 3)
+    kappas = np.array([60.0] * 3 + [8.0] * 3)
     weights = np.array([crowd_share / 3] * 3 + [(1.0 - crowd_share) / 3] * 3)
     return sample_mixture(n, means, kappas, weights, seed=seed)

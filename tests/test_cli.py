@@ -3,6 +3,7 @@ fresh interpreters where process start-up matters)."""
 
 import json
 import os
+import struct
 import subprocess
 import sys
 import warnings
@@ -248,6 +249,73 @@ class TestDistillCommand:
         assert back.featurizer.buckets == 1 << 15
         labels, texts = storage.read_dataset_tsv(dataset)
         assert labels.size == len(texts) == int(kv["train_size"]) + int(kv["val_size"]) + int(kv["test_size"])
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--epochs", 0], "epochs must be >= 1, got 0"),
+        (["--lr", -1], "lr must be > 0, got -1.0"),
+        (["--buckets", 0], "buckets must lie in [1, 2^32), got 0"),
+    ])
+    def test_bad_training_flag_writes_nothing(self, tmp_path, capsys, flags, message):
+        emb, _ = make_corpus(tmp_path, capsys, n=200, components=2, texts=True)
+        model = tmp_path / "model.json"
+        assert run(capsys, "fit", "--input", emb, "--output", model, "--k", 2)[0] == 0
+        student, dataset = tmp_path / "s.bin", tmp_path / "d.tsv"
+        code, _, out = run(capsys, "distill", "--input", emb, "--model", model,
+                           "--texts", tmp_path / "texts.txt", "--output", student,
+                           "--dataset", dataset, "--distill-m", 20, *flags)
+        assert code == 1
+        assert out.err == f"spheremix: ValueError: {message}\n"
+        assert not student.exists() and not dataset.exists()
+
+
+def write_flagged_embeddings(path, X):
+    """A GEMEMB1 file with the normalized flag set, whatever the rows'
+    norms; returns the norms of the rows as stored."""
+    X32 = np.ascontiguousarray(X, dtype="<f4")
+    header = storage.EMB_MAGIC + struct.pack("<IQIB", storage.EMB_VERSION, *X32.shape, 1)
+    path.write_bytes(header + X32.tobytes())
+    return np.linalg.norm(X32.astype(np.float64), axis=1)
+
+
+class TestUnitTolerance:
+    """fit accepts every flag-1 file the reader accepts: one tolerance,
+    geometry.UNIT_TOL, serves both."""
+
+    def corpus(self, tmp_path, capsys, scale):
+        emb, _ = make_corpus(tmp_path, capsys, n=300, components=3, texts=True)
+        model = tmp_path / "model.json"
+        assert run(capsys, "fit", "--input", emb, "--output", model, "--k", 3)[0] == 0
+        scaled = tmp_path / "scaled.bin"
+        norms = write_flagged_embeddings(scaled, storage.read_embeddings(emb) * scale)
+        np.testing.assert_allclose(norms, scale, rtol=0, atol=1e-6)
+        return scaled, model
+
+    def commands(self, tmp_path, model):
+        texts = tmp_path / "texts.txt"
+        return {
+            "fit": ["fit", "--output", tmp_path / "m2.json", "--k", 3],
+            "sweep": ["sweep", "--output", tmp_path / "g.tsv", "--k-list", 3,
+                      "--lambda-list", 0, "--max-iters", 3],
+            "assign": ["assign", "--model", model, "--output", tmp_path / "a.tsv"],
+            "gis": ["gis", "--model", model, "--output", tmp_path / "r.tsv"],
+            "distill": ["distill", "--model", model, "--texts", texts,
+                        "--output", tmp_path / "s.bin", "--distill-m", 20,
+                        "--buckets", 1 << 10, "--epochs", 1],
+        }
+
+    def test_rows_within_the_tolerance_run_everywhere(self, tmp_path, capsys):
+        scaled, model = self.corpus(tmp_path, capsys, 1.0 + 5e-6)
+        for name, argv in self.commands(tmp_path, model).items():
+            code, _, out = run(capsys, *argv, "--input", scaled)
+            assert code == 0, (name, out.err)
+
+    def test_rows_past_the_tolerance_fail_everywhere(self, tmp_path, capsys):
+        scaled, model = self.corpus(tmp_path, capsys, 1.0 + 2e-5)
+        for name, argv in self.commands(tmp_path, model).items():
+            code, _, out = run(capsys, *argv, "--input", scaled)
+            assert code == 1, name
+            assert out.err.startswith("spheremix: data error:") and "normalized flag" in out.err
+            assert not argv[argv.index("--output") + 1].exists(), name
 
 
 class TestSweepCommand:

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from spheremix.errors import DimensionMismatchError, ZeroVectorError
 from spheremix.geometry import (
+    UNIT_TOL,
     as_embeddings,
     concentration_check,
     concentration_lower_bound,
@@ -214,6 +215,14 @@ class TestAsEmbeddings:
     def test_accepts_unit_rows(self):
         X = normalize(np.array([[3.0, 4.0], [0.0, -2.0]]))
         np.testing.assert_array_equal(as_embeddings(X), X)
+
+    def test_accepts_rows_within_unit_tol(self):
+        # The GEMEMB1 normalized flag allows rows 1e-5 off unit length, so
+        # fit takes every flagged file the reader takes.
+        X = normalize(np.array([[3.0, 4.0], [0.0, -2.0]]))
+        as_embeddings(X * (1.0 + 0.9 * UNIT_TOL))
+        with pytest.raises(ZeroVectorError, match="row 0"):
+            as_embeddings(X * (1.0 + 1.1 * UNIT_TOL))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 2.0])
     def test_rejects_bad_row(self, bad):

@@ -249,7 +249,7 @@ class TestMStep:
         n, k, d, eps = 150, 4, 7, 1e-8
         X = sample_vmf(np.eye(d)[0], 20.0, n, seed=15)
         gamma = random_gamma(rng, n, k)
-        got = m_step_kappa(gamma.T @ X, gamma.sum(axis=0), eps)
+        got = m_step_kappa(gamma.T @ X, gamma.sum(axis=0))
         for j in range(k):
             r = sum(gamma[i, j] * X[i] for i in range(n))
             n_j = sum(gamma[i, j] for i in range(n))

@@ -1,6 +1,6 @@
 """The benchmark's tracer (perfbench/spans.py) against the library: every
-name it wraps exists, and a fit and a representative selection record a
-span for each step the traced benchmark run reads."""
+name it wraps exists, and a fit, a representative selection and the
+student record a span for each step the traced benchmark run reads."""
 
 import importlib
 import importlib.util
@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from conftest import random_params, random_unit_rows
+import spheremix.distill as distill
 import spheremix.gis as gis
 import spheremix.inference as inference
 from spheremix.objective import posterior
@@ -59,3 +60,22 @@ def test_gis_records_its_kernel_spans():
     ix = spans.SpanIndex(tracer.spans)
     for name in ("gis.local_density", "gis.gis_score"):
         assert ix.select(name, inside="gis.select_representatives"), name
+
+
+def test_student_records_one_featurize_span_per_training_document():
+    # The traced run divides train_student's self time by the featurize
+    # spans directly under it, as the number of training documents.
+    spans = load_spans()
+    texts = [f"alpha beta {i}" for i in range(10)] + [f"gamma delta {i}" for i in range(10)]
+    ds = distill.PseudoLabeledSet(
+        texts=texts, labels=np.repeat([0, 1], 10), source_ids=np.arange(20), k=2
+    ).validate()
+    tracer = spans.Tracer("distill")
+    with tracer.installed():
+        model = distill.train_student(ds, epochs=3, spec=distill.FeaturizerSpec(buckets=1 << 10))
+        distill.predict_student(model, "alpha beta")
+    ix = spans.SpanIndex(tracer.spans)
+    (train,) = ix.select("distill.train_student")
+    names = [ix.spans[ch][spans.NAME] for ch in ix.children(train)]
+    assert names.count("distill.featurize") == len(ds)
+    assert len(ix.select("distill.predict_student")) == 1

@@ -22,6 +22,8 @@ from . import _cap_threads, storage
 from .baselines import HardPartition, collapse_report, hungarian_match, nmi
 from .distill import (
     DEFAULT_BUCKETS,
+    DEFAULT_EPOCHS,
+    DEFAULT_LR,
     FeaturizerSpec,
     build_pseudo_labeled,
     evaluate_student,
@@ -345,8 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", default=None, help="optional pseudo-labeled TSV dump")
     p.add_argument("--distill-m", type=int, default=5000, help="samples per cluster")
     _add_gis_flags(p)
-    p.add_argument("--epochs", type=int, default=10)
-    p.add_argument("--lr", type=float, default=0.1)
+    p.add_argument("--epochs", type=int, default=DEFAULT_EPOCHS)
+    p.add_argument("--lr", type=float, default=DEFAULT_LR)
     p.add_argument("--buckets", type=int, default=DEFAULT_BUCKETS)
     _add_common(p)
     p.set_defaults(func=cmd_distill)

@@ -23,6 +23,8 @@ from .gis import GisConfig, select_representatives
 from .objective import MixtureParams
 
 DEFAULT_BUCKETS = 1 << 21
+DEFAULT_EPOCHS = 10
+DEFAULT_LR = 0.1
 
 
 @dataclass(frozen=True)
@@ -228,8 +230,8 @@ def _softmax(s: np.ndarray) -> np.ndarray:
 
 def train_student(
     ds: PseudoLabeledSet,
-    epochs: int = 10,
-    lr: float = 0.1,
+    epochs: int = DEFAULT_EPOCHS,
+    lr: float = DEFAULT_LR,
     seed: int = 0,
     spec: FeaturizerSpec = FeaturizerSpec(),
 ) -> StudentModel:
@@ -237,8 +239,9 @@ def train_student(
 
     One sample per step, reshuffled each epoch, deterministic for a fixed
     seed. The returned model carries the per-epoch mean cross-entropy in
-    loss_trace. Weights accumulate in float64 during training and are cast
-    to float32 at the end (the serialized precision).
+    loss_trace. Weights accumulate in float64 during training, only for the
+    buckets the training documents touch, and are scattered into a zero
+    float32 (buckets, k) matrix at the end (the serialized precision).
     """
     ds = ds.validate()
     if len(ds) == 0:
@@ -252,8 +255,10 @@ def train_student(
         raise ValueError(f"lr must be > 0, got {lr}")
 
     feats = [_sparse(featurize(t, spec)) for t in ds.texts]
+    rows = np.unique(np.concatenate([idx for idx, _ in feats]))
+    feats = [(np.searchsorted(rows, idx), val) for idx, val in feats]
     k = ds.k
-    w = np.zeros((spec.buckets, k), dtype=np.float64)
+    w = np.zeros((rows.size, k), dtype=np.float64)
     b = np.zeros(k, dtype=np.float64)
     rng = np.random.default_rng(seed)
     n = len(ds)
@@ -275,8 +280,10 @@ def train_student(
             s -= s.max()
             total += float(np.log(np.exp(s).sum()) - s[y])
         losses.append(total / n)
+    weights = np.zeros((spec.buckets, k), dtype=np.float32)
+    weights[rows] = w  # rounds as astype(np.float32) does
     return StudentModel(
-        weights=w.astype(np.float32),
+        weights=weights,
         bias=b.astype(np.float32),
         featurizer=spec,
         loss_trace=np.asarray(losses),

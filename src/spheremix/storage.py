@@ -38,15 +38,17 @@ STUDENT_MAGIC = b"GEMSTU1"
 MODEL_FORMAT = "GEMMODEL1"
 
 
-def atomic_write_bytes(path: str | Path, data: bytes) -> None:
-    """Write through a uniquely named temp file and a rename. The file gets
-    the mode open() would give it: 0o666 less the umask."""
+def atomic_write_bytes(path: str | Path, *parts: bytes | np.ndarray) -> None:
+    """Write the buffers one after another through a uniquely named temp
+    file and a rename, without joining them in memory. The file gets the
+    mode open() would give it: 0o666 less the umask."""
     path = Path(path)
     tmp = path.with_name(f"{path.name}.{secrets.token_hex(8)}")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            for part in parts:
+                fh.write(part)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -79,7 +81,7 @@ def write_embeddings(X: np.ndarray, path: str | Path, normalized: bool | None = 
     elif normalized and not unit:
         raise NormFlagViolationError("normalized flag requested but rows are not unit")
     header = EMB_MAGIC + struct.pack("<IQIB", EMB_VERSION, n, d, int(normalized))
-    atomic_write_bytes(path, header + X32.tobytes())
+    atomic_write_bytes(path, header, X32)
 
 
 def read_embeddings(path: str | Path) -> np.ndarray:
@@ -191,7 +193,7 @@ def save_student(path: str | Path, model: StudentModel) -> None:
     )
     bias = np.ascontiguousarray(model.bias, dtype="<f4")
     weights = np.ascontiguousarray(model.weights, dtype="<f4")
-    atomic_write_bytes(path, header + bias.tobytes() + weights.tobytes())
+    atomic_write_bytes(path, header, bias, weights)
 
 
 def load_student(path: str | Path) -> StudentModel:

@@ -1,6 +1,7 @@
 """End-to-end command-line pipeline tests (run in-process via main, and in
 fresh interpreters where process start-up matters)."""
 
+import inspect
 import json
 import os
 import struct
@@ -14,7 +15,8 @@ import pytest
 
 import spheremix
 from spheremix import storage
-from spheremix.cli import _cap_threads, main
+from spheremix.cli import _cap_threads, build_parser, main
+from spheremix.distill import train_student
 
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
                "NUMEXPR_NUM_THREADS")
@@ -233,6 +235,15 @@ class TestGisCommand:
 
 
 class TestDistillCommand:
+    def test_training_flags_default_to_train_student(self):
+        args = build_parser().parse_args(
+            ["distill", "--input", "x", "--model", "m", "--texts", "t", "--output", "o"]
+        )
+        params = inspect.signature(train_student).parameters
+        assert args.epochs == params["epochs"].default
+        assert args.lr == params["lr"].default
+        assert args.buckets == params["spec"].default.buckets
+
     def test_full_distill_run(self, tmp_path, capsys):
         emb, _ = make_corpus(tmp_path, capsys, n=600, components=3, texts=True)
         model = tmp_path / "model.json"

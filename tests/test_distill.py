@@ -1,5 +1,7 @@
 """Pseudo-label curation, hashed n-gram featurizer, student training."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -235,6 +237,26 @@ class TestTrainStudent:
         np.testing.assert_array_equal(a.weights, b.weights)
         np.testing.assert_array_equal(a.bias, b.bias)
 
+    def test_peak_memory_is_one_float32_copy(self):
+        # The float64 state covers only the touched buckets, so the peak is
+        # the returned float32 (buckets, k) matrix plus a small remainder.
+        k, spec = 8, FeaturizerSpec(buckets=1 << 18)
+        labels = np.arange(400) % k
+        ds = PseudoLabeledSet(
+            texts=make_text_corpus(labels, k, seed=0),
+            labels=labels,
+            source_ids=np.arange(labels.size),
+            k=k,
+        ).validate()
+        tracemalloc.start()
+        try:
+            model = train_student(ds, epochs=2, seed=0, spec=spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert model.weights.shape == (spec.buckets, k)
+        assert peak < 1.5 * model.weights.nbytes
+
 
 class TestPredictStudent:
     def test_empty_text_softmax_of_bias(self):
@@ -362,3 +384,19 @@ class TestStudentOracle:
             want = _reference_predict(model, text)
             np.testing.assert_array_equal(probs, want)
             assert label == int(np.argmax(want))
+
+    def test_no_touched_buckets(self):
+        # Every document is empty or whitespace: no bucket is touched, so
+        # training moves the bias alone and every weight stays zero.
+        texts = ["", "   ", "\t", "", " \n ", ""]
+        ds = PseudoLabeledSet(
+            texts, np.array([0, 1, 2, 0, 1, 1]), np.arange(len(texts)), 3
+        ).validate()
+        spec = FeaturizerSpec(buckets=1 << 10)
+        w, b, losses = _reference_train(ds, epochs=3, lr=0.3, seed=5, spec=spec)
+        model = train_student(ds, epochs=3, lr=0.3, seed=5, spec=spec)
+        assert model.weights.shape == (spec.buckets, 3)
+        assert not model.weights.any()
+        np.testing.assert_array_equal(model.weights, w)
+        np.testing.assert_array_equal(model.bias, b)
+        np.testing.assert_array_equal(model.loss_trace, losses)

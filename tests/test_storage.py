@@ -4,6 +4,7 @@ models, escaped TSV."""
 import json
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -301,6 +302,32 @@ class TestStudentFile:
         buckets, k, ngram_max, hash_seed = struct.unpack_from("<IIII", blob, 7)
         assert (buckets, k, ngram_max, hash_seed) == (256, 2, 2, 7)
         assert len(blob) == 7 + 16 + 4 * (k + buckets * k)
+
+    @pytest.mark.parametrize("dtype, order", [(np.float32, "C"), (np.float64, "F")])
+    def test_bytes_are_the_gemstu1_layout(self, tmp_path, dtype, order):
+        model = self.make_model(buckets=1 << 6, k=3)
+        model.weights = np.asarray(model.weights, dtype=dtype, order=order)
+        path = tmp_path / "student.bin"
+        save_student(path, model)
+        want = (
+            b"GEMSTU1"
+            + struct.pack("<IIII", 64, 3, 2, 7)
+            + model.bias.astype("<f4").tobytes()
+            + model.weights.astype("<f4").tobytes(order="C")
+        )
+        assert path.read_bytes() == want
+
+    def test_save_adds_no_copy_of_the_weights(self, tmp_path):
+        # The header, bias and weights are written one after another,
+        # never joined into one bytes object.
+        model = self.make_model(buckets=1 << 17, k=8)
+        tracemalloc.start()
+        try:
+            save_student(tmp_path / "student.bin", model)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * model.weights.nbytes
 
     def test_truncated(self, tmp_path):
         model = self.make_model(buckets=1 << 8, k=2)

@@ -10,6 +10,7 @@ the thousands stay finite.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 from scipy import special
@@ -138,9 +139,14 @@ def vmf_log_density(x: np.ndarray, mu: np.ndarray, kappa: float) -> float | np.n
 
 
 def mean_resultant_length(d: int, kappa: float) -> float:
-    """A_d(kappa) = I_{d/2}(kappa) / I_{d/2-1}(kappa), the expected mu.x."""
+    """A_d(kappa) = I_{d/2}(kappa) / I_{d/2-1}(kappa), the expected mu.x: a
+    ratio of scaled values, which keeps 1 - A_d accurate at large kappa, or of
+    log-domain values where the numerator is subnormal (order >> kappa)."""
     if kappa == 0.0:
         return 0.0
+    num = float(special.ive(d / 2.0, kappa))
+    if num >= sys.float_info.min:
+        return num / float(special.ive(d / 2.0 - 1.0, kappa))
     return math.exp(log_bessel_i(d / 2.0, kappa) - log_bessel_i(d / 2.0 - 1.0, kappa))
 
 

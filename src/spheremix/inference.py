@@ -2,10 +2,9 @@
 
 Each iteration ascends a surrogate in gamma (the quadratic balance penalty
 linearized at the current empirical mass, which minorizes the true
-objective and, R being quadratic, equals it), then applies closed-form
-mean/concentration updates guarded by per-component likelihood acceptance.
-The full-objective trace is therefore non-decreasing up to floating-point
-noise.
+objective and, R being quadratic, equals it), then maximizes each
+component's complete-data likelihood exactly in (mu, kappa). The
+full-objective trace is therefore non-decreasing up to floating-point noise.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .errors import TooFewPointsError
-from .geometry import KAPPA_MAX, as_embeddings, log_vmf_norm_consts, normalize
+from .geometry import KAPPA_MAX, as_embeddings, mean_resultant_length, normalize
 from .objective import (
     MixtureParams,
     balance_gradient,
@@ -29,12 +28,15 @@ from .objective import (
 )
 
 # Solver constants: E-step sweeps per iteration, the M-step's division
-# guard, the concentration of initial and reseeded components, and the cap
-# on k-means Lloyd rounds.
+# guard, the concentration of initial and reseeded components, the cap on
+# k-means Lloyd rounds, and the kappa solve's Newton step cap and relative
+# stop (near R = 1 one ulp of A_d spans about 2e-10 of kappa, so no tighter).
 _ESTEP_SWEEPS = 3
 _EPS = 1e-8
 _KAPPA_INIT = 1.0
 _MAX_ROUNDS = 100
+_NEWTON_STEPS = 8
+_NEWTON_RTOL = 1e-9
 
 # A cluster whose total responsibility falls below 10 * eps * n is treated
 # as empty and reseeded on the worst-explained point.
@@ -180,39 +182,41 @@ def e_step(scores: np.ndarray, gamma: np.ndarray, cfg: FitConfig) -> np.ndarray:
 
 
 def m_step_mu(r: np.ndarray) -> np.ndarray:
-    """Closed-form mean directions from the (k, d) resultants
-    r_k = sum_i gamma_ik x_i: each row normalized.
+    """Mean directions from the (k, d) resultants r_k = sum_i gamma_ik x_i:
+    each row divided by its norm, the maximizer for every kappa.
 
     Rows whose resultant vanishes entirely are returned as zero vectors;
-    fit() reseeds such clusters before the result is used.
+    fit() reseeds or reverts such clusters before the result is used.
     """
     norms = np.linalg.norm(r, axis=1)
-    means = r / (norms + _EPS)[:, None]
     live = norms > 0.0
-    means[live] /= np.linalg.norm(means[live], axis=1)[:, None]
+    means = np.zeros_like(r)
+    means[live] = r[live] / norms[live, None]
     return means
 
 
 def m_step_kappa(r: np.ndarray, n_k: np.ndarray) -> np.ndarray:
-    """Closed-form concentrations from the (k, d) resultants r_k and the
-    masses n_k = sum_i gamma_ik.
+    """Concentrations maximizing n_k log C_d(kappa) + kappa ||r_k||, from the
+    (k, d) resultants r_k and the masses n_k = sum_i gamma_ik.
 
-    R_k = ||r_k|| / (n_k + _EPS), clamped into [0, 1 - 1e-6];
-    kappa_k = (R_k d - R_k^3) / (1 - R_k^2), clamped into [0, KAPPA_MAX].
+    R_k = ||r_k|| / (n_k + _EPS), clamped into [0, 1 - 1e-6]; kappa_k is the
+    root of A_d(kappa) = R_k (Sra 2012), clamped into [0, KAPPA_MAX], found
+    by Newton steps with A_d' = 1 - A_d^2 - (d - 1) A_d / kappa from the
+    approximation (R_k d - R_k^3) / (1 - R_k^2) (Banerjee et al. 2005).
     """
     d = r.shape[1]
-    rbar = np.linalg.norm(r, axis=1) / (n_k + _EPS)
-    rbar = np.clip(rbar, 0.0, 1.0 - 1e-6)
-    kappa = (rbar * d - rbar**3) / (1.0 - rbar**2)
-    return np.clip(kappa, 0.0, KAPPA_MAX)
-
-
-def _component_loglik(
-    n_k: np.ndarray, dots: np.ndarray, kappas: np.ndarray, d: int
-) -> np.ndarray:
-    """Per-component complete-data log-likelihood pieces
-    n_k log C_d(kappa_k) + kappa_k <mu_k, r_k>, with dots = <mu_k, r_k>."""
-    return n_k * log_vmf_norm_consts(d, kappas) + kappas * dots
+    rbar = np.clip(np.linalg.norm(r, axis=1) / (n_k + _EPS), 0.0, 1.0 - 1e-6)
+    kappa = np.clip((rbar * d - rbar**3) / (1.0 - rbar**2), 0.0, KAPPA_MAX)
+    for j in np.flatnonzero(kappa > 0.0):
+        kap = float(kappa[j])
+        for _ in range(_NEWTON_STEPS):
+            a = mean_resultant_length(d, kap)
+            step = (a - rbar[j]) / (1.0 - a * a - (d - 1) * a / kap)
+            prev, kap = kap, min(max(kap - step, 0.0), KAPPA_MAX)
+            if abs(kap - prev) <= _NEWTON_RTOL * kap:
+                break
+        kappa[j] = kap
+    return kappa
 
 
 def _m_step(
@@ -221,15 +225,10 @@ def _m_step(
     X: np.ndarray,
     scores: np.ndarray,
 ) -> MixtureParams:
-    """Guarded M-step used inside fit().
-
-    Proposes the closed-form updates, reseeds empty clusters on the
-    worst-explained points, and otherwise accepts a component's new
-    (mu, kappa) only if its complete-data likelihood does not drop
-    (the concentration formula is an approximation, so this keeps the
-    objective trace monotone).
-    """
-    n, d = X.shape
+    """M-step used inside fit(): each component's likelihood maximizer
+    (mu, kappa). Empty clusters are reseeded on the worst-explained points;
+    a live one whose resultant cancelled to zero keeps its old (mu, kappa)."""
+    n = X.shape[0]
     r = gamma.T @ X
     n_k = gamma.sum(axis=0)
 
@@ -245,20 +244,9 @@ def _m_step(
             mu_new[j] = X[order[slot % n]]
             kappa_new[j] = _KAPPA_INIT
 
-    live = ~empty
-    if np.any(live):
-        dots_new = np.einsum("kd,kd->k", mu_new, r)
-        dots_old = np.einsum("kd,kd->k", theta.means, r)
-        ll_new = _component_loglik(n_k, dots_new, kappa_new, d)
-        ll_old = _component_loglik(n_k, dots_old, theta.kappas, d)
-        # Also revert any live component whose resultant cancelled to zero
-        # (its proposed mean is not a direction at all).
-        degenerate = np.linalg.norm(mu_new, axis=1) < 0.5
-        keep = live & ((ll_new < ll_old) | degenerate)
-        if np.any(keep):
-            mu_new[keep] = theta.means[keep]
-            kappa_new[keep] = theta.kappas[keep]
-
+    degenerate = np.linalg.norm(mu_new, axis=1) < 0.5
+    mu_new[degenerate] = theta.means[degenerate]
+    kappa_new[degenerate] = theta.kappas[degenerate]
     return MixtureParams(means=mu_new, kappas=kappa_new)
 
 
@@ -266,7 +254,7 @@ def fit(X: np.ndarray, cfg: FitConfig) -> FitResult:
     """Run the full minorize-maximize loop to convergence.
 
     Initializes with spherical k-means and uniform responsibilities, then
-    alternates the surrogate E-step and the guarded M-step, recording the
+    alternates the surrogate E-step and the exact M-step, recording the
     objective after each completed iteration. Stops when the absolute
     change in the objective falls to the tolerance (default 1e-4 * n) or
     after max_iters iterations. Bit-reproducible for fixed (X, cfg).

@@ -328,6 +328,20 @@ class TestSampleVmf:
         )
 
 
+class TestMeanResultantLength:
+    @pytest.mark.parametrize("kappa", [1.0, 10.0, 1e2, 1e3, 1e4, 1e5])
+    def test_one_minus_a3_matches_closed_form(self, kappa):
+        # A_3 = coth(kappa) - 1/kappa, so 1 - A_3 = 1/kappa - 2/(e^(2 kappa) - 1)
+        # with no cancellation; the Newton solve for kappa needs these digits.
+        want = 1.0 / kappa + 2.0 * math.exp(-2.0 * kappa) / math.expm1(-2.0 * kappa)
+        got = 1.0 - mean_resultant_length(3, kappa)
+        assert abs(got - want) <= 1e-9 * want
+
+    def test_order_far_above_argument(self):
+        # ive underflows here; A_d ~ kappa / d for kappa << d.
+        assert mean_resultant_length(768, 1e-3) == pytest.approx(1e-3 / 768, rel=1e-9)
+
+
 class TestConcentration:
     def test_lemma_bound_cells(self):
         for d, eps in [(4, 0.5), (64, 0.3), (1024, 0.2)]:

@@ -1,4 +1,4 @@
-"""EM loop: initializer, surrogate E-step, guarded M-step, fit, assign."""
+"""EM loop: initializer, surrogate E-step, exact M-step, fit, assign."""
 
 import itertools
 import math
@@ -10,10 +10,17 @@ from hypothesis import strategies as st
 
 from conftest import random_gamma, random_params, random_unit_rows
 from spheremix.errors import TooFewPointsError
-from spheremix.geometry import KAPPA_MAX, normalize, sample_vmf
+from spheremix.geometry import (
+    KAPPA_MAX,
+    log_vmf_norm_consts,
+    mean_resultant_length,
+    normalize,
+    sample_vmf,
+)
 from spheremix.inference import (
     FitConfig,
     FitResult,
+    _m_step,
     assign,
     e_step,
     fit,
@@ -233,10 +240,13 @@ class TestMStep:
         assert m_step_kappa(X.sum(axis=0)[None, :], np.array([2.0]))[0] == 0.0
 
     def test_kappa_hand_value_d4(self):
-        # two unit vectors at 120 degrees: rbar = 1/2, d = 4 -> kappa = 2.5
+        # two unit vectors at 120 degrees, each of weight 2^30 so that the
+        # 1e-8 division guard vanishes in rounding: rbar = 1/2, d = 4. kappa
+        # is the root of A_4(kappa) = 1/2 (the approximation gives 2.5).
         X = np.array([[1.0, 0.0, 0.0, 0.0], [-0.5, math.sqrt(3) / 2, 0.0, 0.0]])
-        kap = m_step_kappa(X.sum(axis=0)[None, :], np.array([2.0]))[0]
-        assert abs(kap - 2.5) <= 1e-6
+        w = 2.0**30
+        kap = m_step_kappa(w * X.sum(axis=0)[None, :], np.array([2.0 * w]))[0]
+        assert kap == pytest.approx(2.4469183112890462, rel=1e-10)
 
     def test_kappa_clamped_at_max(self):
         X = np.tile(normalize(np.ones(4)), (3, 1))
@@ -255,8 +265,61 @@ class TestMStep:
             n_j = sum(gamma[i, j] for i in range(n))
             assert n_j < 0.5 * n
             rbar = min(max(float(np.linalg.norm(r)) / (n_j + eps), 0.0), 1.0 - 1e-6)
-            kap = min(max((rbar * d - rbar**3) / (1.0 - rbar**2), 0.0), KAPPA_MAX)
-            assert got[j] == pytest.approx(kap, rel=1e-9)
+            assert mean_resultant_length(d, got[j]) == pytest.approx(rbar, rel=1e-10)
+
+    def test_kappa_solves_mean_resultant_equation(self):
+        # kappa is the root of A_d(kappa) = R, or KAPPA_MAX when the root lies
+        # beyond it. Masses of 2^30 absorb the 1e-8 division guard exactly,
+        # so R = ||r|| / n_k.
+        rng = np.random.default_rng(19)
+        mass = 2.0**30
+        for d in (2, 3, 4, 16, 64, 768):
+            rbar = np.concatenate(
+                [10.0 ** rng.uniform(-6, 0, 40), 1.0 - 10.0 ** rng.uniform(-5, 0, 40)]
+            )
+            rbar = np.clip(np.append(rbar, [1e-6, 1.0 - 1e-5]), 1e-6, 1.0 - 1e-5)
+            r = np.zeros((rbar.size, d))
+            r[:, 0] = rbar * mass
+            got = m_step_kappa(r, np.full(rbar.size, mass))
+            a_max = mean_resultant_length(d, KAPPA_MAX)
+            for rb, kap in zip(rbar, got):
+                if kap < KAPPA_MAX:
+                    err = abs(mean_resultant_length(d, kap) - rb)
+                    assert err <= 1e-10 * rb and err <= 1e-9 * (1.0 - rb), (d, rb, kap)
+                if a_max <= rb:
+                    assert kap == KAPPA_MAX, (d, rb, kap)
+
+    def test_m_step_maximizes_every_live_component(self):
+        # Over a few fit iterations at k = 10, each live component with a
+        # non-degenerate resultant takes mu = r / ||r||, and its complete-data
+        # likelihood n_k log C_d(kappa) + kappa mu.r never falls below the
+        # old (mu, kappa)'s on the same statistics.
+        X, _ = sample_mixture(
+            4000, mixture_means(10, 16, 19), np.full(10, 30.0), np.full(10, 0.1), 19
+        )
+        n, d = X.shape
+        cfg = FitConfig(k=10, lam=5000.0, seed=19)
+        theta = init_spherical_kmeans(X, cfg.k, cfg.seed)
+        gamma = np.full((n, cfg.k), 1.0 / cfg.k)
+        for _ in range(8):
+            scores = log_component_scores(X, theta)
+            gamma = e_step(scores, gamma, cfg)
+            new = _m_step(theta, gamma, X, scores)
+            r, n_k = gamma.T @ X, gamma.sum(axis=0)
+            norms = np.linalg.norm(r, axis=1)
+            live = (n_k >= 1e-7 * n) & (norms > 0.0)
+            assert np.any(live)
+            np.testing.assert_allclose(
+                new.means[live], r[live] / norms[live, None], rtol=0, atol=1e-12
+            )
+
+            def loglik(t):
+                dots = np.einsum("kd,kd->k", t.means, r)
+                return n_k * log_vmf_norm_consts(d, t.kappas) + t.kappas * dots
+
+            ll_new, ll_old = loglik(new)[live], loglik(theta)[live]
+            assert np.all(ll_new >= ll_old - 1e-9 * np.abs(ll_old))
+            theta = new
 
     def test_kappa_round_trip(self):
         X = sample_vmf(np.eye(16)[0], 50.0, 100_000, seed=6)
@@ -316,12 +379,9 @@ class TestFit:
 
     def test_lam_zero_matches_plain_movmf_em(self):
         # Side-by-side against an independently written movMF EM loop: the
-        # exact posterior E-step, the closed-form mean/concentration
-        # updates, and the same per-component accept-or-retain rule (the
-        # concentration formula is approximate, so near a fixed point the
-        # proposal can lose likelihood and must be rejected in both).
-        # With lam = 0 every balance term vanishes and the traces must
-        # agree to float noise while both loops run.
+        # exact posterior E-step, then the mean/concentration updates taken
+        # unconditionally. With lam = 0 every balance term vanishes and the
+        # traces must agree to float noise while both loops run.
         from spheremix.geometry import vmf_log_density
         from spheremix.objective import entropy_total
 
@@ -338,14 +398,8 @@ class TestFit:
         for _ in range(res.iters_run):
             gamma = posterior(theta, X)
             r = gamma.T @ X
-            mu_new = m_step_mu(r)
-            kap_new = m_step_kappa(r, gamma.sum(axis=0))
-            means, kappas = theta.means.copy(), theta.kappas.copy()
-            for j in range(3):
-                if loglik_piece(gamma[:, j], mu_new[j], kap_new[j]) >= loglik_piece(
-                    gamma[:, j], means[j], kappas[j]
-                ):
-                    means[j], kappas[j] = mu_new[j], kap_new[j]
+            means = m_step_mu(r)
+            kappas = m_step_kappa(r, gamma.sum(axis=0))
             theta = MixtureParams(means=means, kappas=kappas)
             value = sum(
                 loglik_piece(gamma[:, j], means[j], kappas[j]) for j in range(3)

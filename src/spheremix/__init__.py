@@ -7,9 +7,12 @@ hashed n-gram linear text classifier.
 
 BLAS reads its thread count once, when numpy first loads, so the cap
 (GEM_THREADS, or 1 under --deterministic on the command line) is applied
-here, before any submodule imports numpy.
+here, before any submodule imports numpy. The public names below resolve
+on first use (PEP 562), so importing one submodule loads only what that
+submodule imports.
 """
 
+import importlib
 import os
 import sys
 
@@ -44,128 +47,48 @@ try:
 except SphereMixError:
     pass  # leaves the environment alone; the CLI's main() reports the error
 
-from .baselines import (
-    ClusterMetrics,
-    HardPartition,
-    collapse_report,
-    hungarian_match,
-    kmeans_fit,
-    nmi,
-    spherical_kmeans_fit,
-)
-from .distill import (
-    FeaturizerSpec,
-    PseudoLabeledSet,
-    StudentModel,
-    build_pseudo_labeled,
-    evaluate_student,
-    featurize,
-    predict_student,
-    split_dataset,
-    train_student,
-)
-from .errors import SphereMixError
-from .geometry import (
-    KAPPA_MAX,
-    concentration_check,
-    concentration_lower_bound,
-    log_bessel_i,
-    normalize,
-    sample_vmf,
-    vmf_log_density,
-)
-from .gis import (
-    GisConfig,
-    RepresentativeSet,
-    export_taxonomy_prompts,
-    gis_score,
-    local_density,
-    parse_taxonomy_prompt,
-    select_representatives,
-)
-from .inference import (
-    FitConfig,
-    FitResult,
-    assign,
-    e_step,
-    fit,
-    init_spherical_kmeans,
-    m_step_kappa,
-    m_step_mu,
-)
-from .objective import (
-    MixtureParams,
-    balance_gradient,
-    balance_regularizer,
-    empirical_mass,
-    log_marginal,
-    objective_value,
-    posterior,
-    row_entropy,
-    surrogate_value,
-)
-from .synth import (
-    collapse_stress_corpus,
-    crowded_trio_corpus,
-    make_text_corpus,
-    mixture_means,
-    sample_mixture,
-)
-
 __version__ = "0.1.0"
 
-__all__ = [
-    "ClusterMetrics",
-    "FeaturizerSpec",
-    "FitConfig",
-    "FitResult",
-    "GisConfig",
-    "HardPartition",
-    "KAPPA_MAX",
-    "MixtureParams",
-    "PseudoLabeledSet",
-    "RepresentativeSet",
-    "SphereMixError",
-    "StudentModel",
-    "assign",
-    "balance_gradient",
-    "balance_regularizer",
-    "build_pseudo_labeled",
-    "collapse_report",
-    "collapse_stress_corpus",
-    "concentration_check",
-    "concentration_lower_bound",
-    "crowded_trio_corpus",
-    "e_step",
-    "empirical_mass",
-    "evaluate_student",
-    "export_taxonomy_prompts",
-    "featurize",
-    "fit",
-    "gis_score",
-    "hungarian_match",
-    "init_spherical_kmeans",
-    "kmeans_fit",
-    "local_density",
-    "log_bessel_i",
-    "log_marginal",
-    "m_step_kappa",
-    "m_step_mu",
-    "make_text_corpus",
-    "mixture_means",
-    "nmi",
-    "normalize",
-    "objective_value",
-    "parse_taxonomy_prompt",
-    "posterior",
-    "predict_student",
-    "row_entropy",
-    "sample_mixture",
-    "sample_vmf",
-    "select_representatives",
-    "spherical_kmeans_fit",
-    "split_dataset",
-    "surrogate_value",
-    "train_student",
-    "vmf_log_density",
-]
+# Each submodule and the public names the package root lends from it.
+_EXPORTS = {
+    "baselines": (
+        "ClusterMetrics", "HardPartition", "collapse_report", "hungarian_match",
+        "kmeans_fit", "nmi",
+    ),
+    "distill": (
+        "FeaturizerSpec", "PseudoLabeledSet", "StudentModel", "build_pseudo_labeled",
+        "evaluate_student", "featurize", "predict_student", "split_dataset",
+        "train_student",
+    ),
+    "errors": ("SphereMixError",),
+    "geometry": (
+        "KAPPA_MAX", "concentration_check", "concentration_lower_bound",
+        "log_bessel_i", "normalize", "sample_vmf", "vmf_log_density",
+    ),
+    "gis": (
+        "GisConfig", "RepresentativeSet", "export_taxonomy_prompts", "gis_score",
+        "local_density", "parse_taxonomy_prompt", "select_representatives",
+    ),
+    "inference": (
+        "FitConfig", "FitResult", "e_step", "fit", "init_spherical_kmeans",
+        "m_step_kappa", "m_step_mu",
+    ),
+    "objective": (
+        "MixtureParams", "balance_gradient", "balance_regularizer", "empirical_mass",
+        "objective_value", "posterior", "surrogate_value",
+    ),
+    "synth": (
+        "collapse_stress_corpus", "crowded_trio_corpus", "make_text_corpus",
+        "mixture_means", "sample_mixture",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    """Import a public name's submodule on first use."""
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)

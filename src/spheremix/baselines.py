@@ -1,7 +1,6 @@
 """Hard-clustering baselines and partition metrics.
 
-Euclidean k-means (k-means++ seeded), spherical k-means (the fit's
-initializer run as a hard clustering), optimal label matching by the
+Euclidean k-means (k-means++ seeded), optimal label matching by the
 Hungarian algorithm, normalized mutual information, and the collapse
 report (how far the cluster-size histogram sits from uniform).
 """
@@ -15,8 +14,7 @@ from scipy.optimize import linear_sum_assignment
 from scipy.special import xlogy
 
 from .errors import SizeMismatchError
-from .geometry import as_embeddings, normalize
-from .inference import _SPHERICAL, _kmeans
+from .inference import _kmeans
 
 
 @dataclass(frozen=True)
@@ -67,14 +65,6 @@ def kmeans_fit(X: np.ndarray, k: int, seed: int) -> HardPartition:
     deterministic for a fixed seed."""
     X = np.asarray(X, dtype=np.float64)
     _, labels = _kmeans(X, k, seed, _EUCLIDEAN)
-    return HardPartition(labels=labels, k=k).validate()
-
-
-def spherical_kmeans_fit(X: np.ndarray, k: int, seed: int) -> HardPartition:
-    """k-means with cosine assignment and normalized-resultant centroids
-    (Dhillon & Modha 2001), the fit's initializer run on the normalized
-    rows as a hard clustering."""
-    _, labels = _kmeans(as_embeddings(normalize(X)), k, seed, _SPHERICAL)
     return HardPartition(labels=labels, k=k).validate()
 
 

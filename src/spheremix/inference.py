@@ -22,13 +22,12 @@ from .objective import (
     check_responsibilities,
     log_component_scores,
     objective_from_scores,
-    posterior,
     softmax_rows,
     surrogate_from_scores,
 )
 
-# Solver constants: E-step sweeps per iteration, the M-step's division
-# guard, the concentration of initial and reseeded components, the cap on
+# Solver constants: E-step sweeps per iteration, the M-step's empty-mass
+# scale, the concentration of initial and reseeded components, the cap on
 # k-means Lloyd rounds, and the kappa solve's Newton step cap and relative
 # stop (near R = 1 one ulp of A_d spans about 2e-10 of kappa, so no tighter).
 _ESTEP_SWEEPS = 3
@@ -199,13 +198,16 @@ def m_step_kappa(r: np.ndarray, n_k: np.ndarray) -> np.ndarray:
     """Concentrations maximizing n_k log C_d(kappa) + kappa ||r_k||, from the
     (k, d) resultants r_k and the masses n_k = sum_i gamma_ik.
 
-    R_k = ||r_k|| / (n_k + _EPS), clamped into [0, 1 - 1e-6]; kappa_k is the
-    root of A_d(kappa) = R_k (Sra 2012), clamped into [0, KAPPA_MAX], found
-    by Newton steps with A_d' = 1 - A_d^2 - (d - 1) A_d / kappa from the
-    approximation (R_k d - R_k^3) / (1 - R_k^2) (Banerjee et al. 2005).
+    R_k = ||r_k|| / n_k (0 at zero mass), clamped into [0, 1 - 1e-6];
+    kappa_k is the root of A_d(kappa) = R_k (Sra 2012), clamped into
+    [0, KAPPA_MAX], found by Newton steps with A_d' = 1 - A_d^2 -
+    (d - 1) A_d / kappa from the approximation (R_k d - R_k^3) / (1 - R_k^2)
+    (Banerjee et al. 2005).
     """
     d = r.shape[1]
-    rbar = np.clip(np.linalg.norm(r, axis=1) / (n_k + _EPS), 0.0, 1.0 - 1e-6)
+    norms = np.linalg.norm(r, axis=1)
+    rbar = np.divide(norms, n_k, out=np.zeros_like(norms), where=n_k > 0.0)
+    rbar = np.clip(rbar, 0.0, 1.0 - 1e-6)
     kappa = np.clip((rbar * d - rbar**3) / (1.0 - rbar**2), 0.0, KAPPA_MAX)
     for j in np.flatnonzero(kappa > 0.0):
         kap = float(kappa[j])
@@ -290,10 +292,3 @@ def fit(X: np.ndarray, cfg: FitConfig) -> FitResult:
         converged=converged,
         config=cfg,
     )
-
-
-def assign(theta: MixtureParams, x: np.ndarray) -> tuple[np.ndarray, int]:
-    """Posterior responsibilities and argmax cluster for a single point."""
-    x = np.asarray(x, dtype=np.float64)
-    probs = posterior(theta, x[None, :])[0]
-    return probs, int(np.argmax(probs))

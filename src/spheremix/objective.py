@@ -95,12 +95,6 @@ def balance_gradient(pi: np.ndarray, lam: float) -> np.ndarray:
     return -lam * (pi - u)
 
 
-def row_entropy(row: np.ndarray) -> float:
-    """Shannon entropy -sum p log p of one responsibility row, with 0 log 0 = 0."""
-    row = np.asarray(row, dtype=np.float64)
-    return -float(np.sum(special.xlogy(row, row)))
-
-
 def entropy_total(gamma: np.ndarray) -> float:
     """Sum of row entropies of a responsibility matrix."""
     return -float(np.sum(special.xlogy(gamma, gamma)))
@@ -118,15 +112,6 @@ def log_component_scores(X: np.ndarray, theta: MixtureParams) -> np.ndarray:
         raise DimensionMismatchError(f"X has d={X.shape[1]}, theta has d={theta.d}")
     log_c = log_vmf_norm_consts(theta.d, theta.kappas)
     return X @ theta.means.T * theta.kappas[None, :] + log_c[None, :] - np.log(theta.k)
-
-
-def log_marginal(x: np.ndarray, theta: MixtureParams) -> float | np.ndarray:
-    """log sum_k alpha_k f(x | mu_k, kappa_k) for one row or a stack of rows."""
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    scores = log_component_scores(x[None, :] if single else x, theta)
-    out = special.logsumexp(scores, axis=1)
-    return float(out[0]) if single else out
 
 
 def posterior(theta: MixtureParams, X: np.ndarray) -> np.ndarray:
@@ -172,13 +157,6 @@ def surrogate_from_scores(
         + float(balance_gradient(pi_anchor, lam) @ diff)
         - 0.5 * lam * float(diff @ diff)
     )
-
-
-def elbo_value(theta: MixtureParams, gamma: np.ndarray, X: np.ndarray) -> float:
-    """ELBO part of the objective (no balance term). Equals the sum of
-    log-marginals when gamma is the exact posterior."""
-    gamma = check_responsibilities(gamma)
-    return elbo_from_scores(log_component_scores(X, theta), gamma)
 
 
 def objective_value(

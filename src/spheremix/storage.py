@@ -16,7 +16,7 @@ import re
 import secrets
 import struct
 from pathlib import Path
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
@@ -29,8 +29,10 @@ from .errors import (
     TruncatedPayloadError,
 )
 from .geometry import UNIT_TOL
-from .inference import FitConfig
 from .objective import MixtureParams
+
+if TYPE_CHECKING:
+    from .inference import FitConfig
 
 EMB_MAGIC = b"GEMEMB1"
 EMB_VERSION = 1

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_unit_rows
 from spheremix.baselines import (
     ClusterMetrics,
     HardPartition,
@@ -15,7 +14,6 @@ from spheremix.baselines import (
     hungarian_match,
     kmeans_fit,
     nmi,
-    spherical_kmeans_fit,
 )
 from spheremix.errors import SizeMismatchError, TooFewPointsError
 from spheremix.inference import init_spherical_kmeans
@@ -53,31 +51,25 @@ class TestKmeans:
 
 
 class TestSphericalKmeans:
+    """The spherical k-means the fit starts from, read as a hard clustering:
+    each row labelled by its nearest final mean, as the Lloyd core labels."""
+
+    @staticmethod
+    def labels(X, k, seed):
+        return np.argmax(X @ init_spherical_kmeans(X, k, seed).means.T, axis=1)
+
     def test_orthogonal_caps(self):
         means = mixture_means(4, 8, 3, arrangement="orthogonal")
         X, truth = sample_mixture(400, means, np.full(4, 200.0), np.full(4, 0.25), 3)
-        got = spherical_kmeans_fit(X, 4, seed=0)
-        _, acc = hungarian_match(got, part(truth, 4))
+        _, acc = hungarian_match(part(self.labels(X, 4, seed=0), 4), part(truth, 4))
         assert acc >= 0.99
 
     def test_identical_points(self):
         X = np.tile([1.0, 0.0, 0.0], (10, 1))
-        got = spherical_kmeans_fit(X, 2, seed=0)
-        assert got.labels.shape == (10,)
+        labels = self.labels(X, 2, seed=0)
+        assert labels.shape == (10,)
         # cosine ties all resolve the same way, so one cluster takes all
-        assert len(set(got.labels.tolist())) == 1
-
-    def test_scale_invariance(self):
-        rng = np.random.default_rng(4)
-        X = random_unit_rows(rng, 100, 5)
-        scales = rng.uniform(0.1, 30.0, size=100)[:, None]
-        a = spherical_kmeans_fit(X, 3, seed=7)
-        b = spherical_kmeans_fit(X * scales, 3, seed=7)
-        np.testing.assert_array_equal(a.labels, b.labels)
-
-    def test_too_few_points(self):
-        with pytest.raises(TooFewPointsError):
-            spherical_kmeans_fit(np.eye(3), 4, seed=0)
+        assert len(set(labels.tolist())) == 1
 
 
 class TestLloydEmptyClusterReseed:
@@ -101,7 +93,6 @@ class TestLloydEmptyClusterReseed:
         e1, e3 = [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]
         X = np.array([e3, e3, e1])
         np.testing.assert_array_equal(init_spherical_kmeans(X, 3, seed=14).means, [e3, e1, e3])
-        np.testing.assert_array_equal(spherical_kmeans_fit(X, 3, seed=14).labels, [0, 0, 1])
 
 
 class TestHungarianMatch:

@@ -1,4 +1,5 @@
-"""EM loop: initializer, surrogate E-step, exact M-step, fit, assign."""
+"""EM loop: initializer, surrogate E-step, exact M-step, fit, and the
+one-point posterior that assign labels by."""
 
 import itertools
 import math
@@ -21,7 +22,6 @@ from spheremix.inference import (
     FitConfig,
     FitResult,
     _m_step,
-    assign,
     e_step,
     fit,
     init_spherical_kmeans,
@@ -240,13 +240,13 @@ class TestMStep:
         assert m_step_kappa(X.sum(axis=0)[None, :], np.array([2.0]))[0] == 0.0
 
     def test_kappa_hand_value_d4(self):
-        # two unit vectors at 120 degrees, each of weight 2^30 so that the
-        # 1e-8 division guard vanishes in rounding: rbar = 1/2, d = 4. kappa
-        # is the root of A_4(kappa) = 1/2 (the approximation gives 2.5).
+        # two unit vectors at 120 degrees, each of weight w: rbar = 1/2 at
+        # every w, d = 4. kappa is the root of A_4(kappa) = 1/2 (the
+        # approximation gives 2.5).
         X = np.array([[1.0, 0.0, 0.0, 0.0], [-0.5, math.sqrt(3) / 2, 0.0, 0.0]])
-        w = 2.0**30
-        kap = m_step_kappa(w * X.sum(axis=0)[None, :], np.array([2.0 * w]))[0]
-        assert kap == pytest.approx(2.4469183112890462, rel=1e-10)
+        for w in (1.0, 2.0**30):
+            kap = m_step_kappa(w * X.sum(axis=0)[None, :], np.array([2.0 * w]))[0]
+            assert kap == pytest.approx(2.4469183112890462, rel=1e-10)
 
     def test_kappa_clamped_at_max(self):
         X = np.tile(normalize(np.ones(4)), (3, 1))
@@ -256,7 +256,7 @@ class TestMStep:
     def test_kappa_soft_gamma_matches_hand_loop(self):
         # Soft responsibilities, so every mass n_k sits well below n.
         rng = np.random.default_rng(15)
-        n, k, d, eps = 150, 4, 7, 1e-8
+        n, k, d = 150, 4, 7
         X = sample_vmf(np.eye(d)[0], 20.0, n, seed=15)
         gamma = random_gamma(rng, n, k)
         got = m_step_kappa(gamma.T @ X, gamma.sum(axis=0))
@@ -264,7 +264,7 @@ class TestMStep:
             r = sum(gamma[i, j] * X[i] for i in range(n))
             n_j = sum(gamma[i, j] for i in range(n))
             assert n_j < 0.5 * n
-            rbar = min(max(float(np.linalg.norm(r)) / (n_j + eps), 0.0), 1.0 - 1e-6)
+            rbar = min(max(float(np.linalg.norm(r)) / n_j, 0.0), 1.0 - 1e-6)
             assert mean_resultant_length(d, got[j]) == pytest.approx(rbar, rel=1e-10)
 
     def test_kappa_solves_mean_resultant_equation(self):
@@ -457,28 +457,30 @@ class TestFit:
 
 
 class TestAssign:
+    """posterior on a single point: the row the assign command labels by
+    its argmax."""
+
     def test_dominant_component(self):
         means = np.eye(8)[:2]
         theta = MixtureParams(means=means, kappas=np.array([100.0, 5.0]))
-        probs, idx = assign(theta, means[0])
-        assert idx == 0 and probs[0] > 0.99
+        probs = posterior(theta, means[:1])[0]
+        assert np.argmax(probs) == 0 and probs[0] > 0.99
 
     def test_identical_components_tie_to_zero(self):
         mu = normalize(np.ones(4))
         theta = MixtureParams(means=np.stack([mu, mu, mu]), kappas=np.full(3, 9.0))
-        probs, idx = assign(theta, normalize(np.arange(1.0, 5.0)))
+        probs = posterior(theta, normalize(np.arange(1.0, 5.0))[None, :])[0]
         np.testing.assert_allclose(probs, 1.0 / 3.0, atol=1e-12)
-        assert idx == 0
+        assert np.argmax(probs) == 0
 
     def test_single_component(self):
         theta = MixtureParams(means=np.eye(5)[:1], kappas=np.array([3.0]))
-        probs, idx = assign(theta, np.eye(5)[4])
+        probs = posterior(theta, np.eye(5)[4:])[0]
         np.testing.assert_allclose(probs, [1.0])
-        assert idx == 0
 
     def test_probs_sum_to_one(self):
         rng = np.random.default_rng(14)
         theta = random_params(rng, 6, 10)
         x = normalize(rng.standard_normal(10))
-        probs, _ = assign(theta, x)
+        probs = posterior(theta, x[None, :])[0]
         assert abs(probs.sum() - 1.0) <= 1e-12

@@ -123,10 +123,9 @@ def cmd_fit(args) -> int:
 
 def cmd_assign(args) -> int:
     X, theta, gamma = _teacher(args)
-    labels = gamma.argmax(axis=1)
-    lines = [
-        f"{i}\t{int(labels[i])}\t{float(gamma[i, labels[i]])!r}\n" for i in range(X.shape[0])
-    ]
+    labels = gamma.argmax(axis=1).tolist()
+    probs = gamma.max(axis=1).tolist()  # each row's value at its label
+    lines = [f"{i}\t{label}\t{prob!r}\n" for i, (label, prob) in enumerate(zip(labels, probs))]
     storage.atomic_write_text(args.output, "".join(lines))
     _print_kv("n", X.shape[0])
     _print_kv("k", theta.k)

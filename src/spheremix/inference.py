@@ -22,24 +22,25 @@ from .objective import (
     check_responsibilities,
     log_component_scores,
     objective_from_scores,
-    softmax_rows,
     surrogate_from_scores,
+    sweep_from_scores,
 )
 
-# Solver constants: E-step sweeps per iteration, the M-step's empty-mass
-# scale, the concentration of initial and reseeded components, the cap on
-# k-means Lloyd rounds, and the kappa solve's Newton step cap and relative
-# stop (near R = 1 one ulp of A_d spans about 2e-10 of kappa, so no tighter).
+# Solver constants: E-step sweeps per iteration, the concentration of
+# initial and reseeded components, the cap on k-means Lloyd rounds, the
+# initializer's stop (at most this share of labels moved), and the kappa
+# solve's Newton step cap and relative stop (near R = 1 one ulp of A_d
+# spans about 2e-10 of kappa, so no tighter).
 _ESTEP_SWEEPS = 3
-_EPS = 1e-8
 _KAPPA_INIT = 1.0
 _MAX_ROUNDS = 100
+_MOVE_TOL = 1e-3
 _NEWTON_STEPS = 8
 _NEWTON_RTOL = 1e-9
 
-# A cluster whose total responsibility falls below 10 * eps * n is treated
-# as empty and reseeded on the worst-explained point.
-_EMPTY_FACTOR = 10.0
+# A cluster whose total responsibility falls below _EMPTY_MASS * n is
+# treated as empty and reseeded on the worst-explained point.
+_EMPTY_MASS = 1e-7
 
 
 @dataclass(frozen=True)
@@ -91,14 +92,16 @@ class FitResult:
         return np.argmax(self.gamma, axis=1)
 
 
-def _kmeans(X: np.ndarray, k: int, seed: int, steps: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """k-means++ seeding (Arthur & Vassilvitskii 2007), then Lloyd rounds
-    until no label changes or _MAX_ROUNDS; returns (centers, labels), each
-    label the point's nearest final center. steps carries the geometry:
-    spread(X, c), each point's ++ weight from one center; closeness(X, C),
-    (n, k), larger is nearer; own_closeness(X, C, labels), each point's
-    closeness to its own center, whose argmin reseeds an empty cluster;
-    centroid(members), a cluster's new center."""
+def _kmeans(
+    X: np.ndarray, k: int, seed: int, steps: tuple, tries: int = 1, move_tol: float = 0.0
+) -> tuple[np.ndarray, np.ndarray]:
+    """k-means++ seeding (Arthur & Vassilvitskii 2007) keeping, of `tries` D^2 draws
+    a step, the one leaving the least total spread, then Lloyd rounds until at most
+    move_tol * n labels change or _MAX_ROUNDS; returns (centers, labels), each label
+    the point's nearest final center. steps carries the geometry: spread(X, C), the
+    ++ weights from each center in C; closeness(X, C), (n, k), larger is nearer;
+    own_closeness(X, C, labels), each point's closeness to its own center, whose
+    argmin reseeds an empty cluster; centroid(members), a cluster's new center."""
     spread, closeness, own_closeness, centroid = steps
     n, d = X.shape
     if n < k:
@@ -113,8 +116,10 @@ def _kmeans(X: np.ndarray, k: int, seed: int, steps: tuple) -> tuple[np.ndarray,
         if total <= 0.0:
             centers[j:] = X[rng.integers(n, size=k - j)]
             break
-        centers[j] = X[rng.choice(n, p=d2 / total)]
-        d2 = np.minimum(d2, spread(X, centers[j]))
+        cand = rng.choice(n, size=tries, p=d2 / total)
+        pot = np.minimum(d2[:, None], spread(X, X[cand]).reshape(n, tries))
+        best = int(np.argmin(pot.sum(axis=0)))
+        centers[j], d2 = X[cand[best]], pot[:, best]
 
     labels = np.argmax(closeness(X, centers), axis=1)
     for _ in range(_MAX_ROUNDS):
@@ -125,9 +130,9 @@ def _kmeans(X: np.ndarray, k: int, seed: int, steps: tuple) -> tuple[np.ndarray,
                 continue
             centers[j] = centroid(X[mask])
         new_labels = np.argmax(closeness(X, centers), axis=1)
-        if np.array_equal(new_labels, labels):
+        moved, labels = np.count_nonzero(new_labels != labels), new_labels
+        if moved <= move_tol * n:
             break
-        labels = new_labels
     return centers, labels
 
 
@@ -136,7 +141,7 @@ def _kmeans(X: np.ndarray, k: int, seed: int, steps: tuple) -> tuple[np.ndarray,
 # the centroid. The own-center cosine is a row-wise einsum, not a pick
 # from X @ C.T: the two round differently and would break ties apart.
 _SPHERICAL = (
-    lambda X, c: 2.0 * np.clip(1.0 - X @ c, 0.0, None),
+    lambda X, C: 2.0 * np.clip(1.0 - X @ C.T, 0.0, None),
     lambda X, C: X @ C.T,
     lambda X, C, labels: np.einsum("ij,ij->i", X, C[labels]),
     lambda members: normalize(members.sum(axis=0)),
@@ -144,10 +149,10 @@ _SPHERICAL = (
 
 
 def init_spherical_kmeans(X: np.ndarray, k: int, seed: int) -> MixtureParams:
-    """Spherical k-means initializer: cosine k-means++ seeding, then Lloyd
-    rounds with normalized-resultant centroids. Returns mean directions
-    with every kappa set to _KAPPA_INIT."""
-    centers, _ = _kmeans(as_embeddings(X), k, seed, _SPHERICAL)
+    """Spherical k-means initializer: greedy cosine k-means++ seeding with
+    2 + floor(ln k) draws a step, then Lloyd rounds with normalized-resultant
+    centroids. Returns mean directions with every kappa set to _KAPPA_INIT."""
+    centers, _ = _kmeans(as_embeddings(X), k, seed, _SPHERICAL, 2 + int(np.log(k)), _MOVE_TOL)
     return MixtureParams(means=centers, kappas=np.full(k, _KAPPA_INIT)).validate()
 
 
@@ -157,10 +162,10 @@ def e_step(scores: np.ndarray, gamma: np.ndarray, cfg: FitConfig) -> np.ndarray:
 
     Runs _ESTEP_SWEEPS row-wise closed-form updates: the softmax of the
     component scores shifted by the balance gradient grad R(pi(gamma)) / n,
-    with pi(gamma) refreshed between sweeps. Returns the best iterate by the
-    surrogate anchored at the input's mass, falling back to the input gamma
-    itself, so the surrogate value never decreases; by the minorization
-    argument neither does the objective.
+    with pi(gamma) refreshed between sweeps (sweep_from_scores). Returns the
+    best iterate by the surrogate anchored at the input's mass, falling back
+    to the input gamma itself, so the surrogate value never decreases; by
+    the minorization argument neither does the objective.
 
     With lam = 0 the shift vanishes and every sweep returns the exact
     posterior, the global maximizer of the surrogate.
@@ -173,8 +178,8 @@ def e_step(scores: np.ndarray, gamma: np.ndarray, cfg: FitConfig) -> np.ndarray:
     best_val = surrogate_from_scores(scores, gamma, pi_anchor, cfg.lam)
     cur = gamma
     for _ in range(_ESTEP_SWEEPS):
-        cur = softmax_rows(scores + balance_gradient(cur.mean(axis=0), cfg.lam) / n)
-        val = surrogate_from_scores(scores, cur, pi_anchor, cfg.lam)
+        shift = balance_gradient(cur.mean(axis=0), cfg.lam) / n
+        cur, val = sweep_from_scores(scores, shift, pi_anchor, cfg.lam)
         if val > best_val:
             best, best_val = cur, val
     return best
@@ -237,7 +242,7 @@ def _m_step(
     mu_new = m_step_mu(r)
     kappa_new = m_step_kappa(r, n_k)
 
-    empty = n_k < _EMPTY_FACTOR * _EPS * n
+    empty = n_k < _EMPTY_MASS * n
     if np.any(empty):
         # Worst-explained points under the pre-update model, one per
         # reseeded cluster so duplicates get distinct directions.

@@ -121,10 +121,20 @@ def posterior(theta: MixtureParams, X: np.ndarray) -> np.ndarray:
 
 def softmax_rows(logits: np.ndarray) -> np.ndarray:
     """Row-wise softmax, stable under large logits; -inf entries get 0."""
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    return _softmax_lse(logits)[0]
+
+
+def _softmax_lse(
+    logits: np.ndarray, out: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """softmax_rows(logits), written to out (logits itself may be given), and
+    the row log-normalizers lse(logits_i)."""
+    top = logits.max(axis=1, keepdims=True)
+    shifted = np.subtract(logits, top, out=out)
     np.exp(shifted, out=shifted)
-    shifted /= shifted.sum(axis=1, keepdims=True)
-    return shifted
+    sums = shifted.sum(axis=1, keepdims=True)
+    shifted /= sums
+    return shifted, (top + np.log(sums)).ravel()
 
 
 def elbo_from_scores(scores: np.ndarray, gamma: np.ndarray) -> float:
@@ -149,14 +159,25 @@ def surrogate_from_scores(
     curvature exactly lam, so this equals the true objective for every
     gamma up to rounding: a minorizer that touches it everywhere.
     """
+    return _anchored(elbo_from_scores(scores, gamma), gamma.mean(axis=0), pi_anchor, lam)
+
+
+def sweep_from_scores(
+    scores: np.ndarray, shift: np.ndarray, pi_anchor: np.ndarray, lam: float
+) -> tuple[np.ndarray, float]:
+    """gamma = softmax_rows(scores + shift) and its surrogate_from_scores value,
+    read off the row log-normalizers with no further n x k pass: for such a
+    gamma, sum gamma.s + H(gamma) = sum_i lse(s_i + shift) - n pi(gamma).shift."""
+    logits = scores + shift
+    gamma, lse = _softmax_lse(logits, out=logits)
     pi = gamma.mean(axis=0)
+    return gamma, _anchored(float(lse.sum()) - len(lse) * float(pi @ shift), pi, pi_anchor, lam)
+
+
+def _anchored(elbo: float, pi: np.ndarray, pi_anchor: np.ndarray, lam: float) -> float:
     diff = pi - pi_anchor
-    return (
-        elbo_from_scores(scores, gamma)
-        + balance_regularizer(pi_anchor, lam)
-        + float(balance_gradient(pi_anchor, lam) @ diff)
-        - 0.5 * lam * float(diff @ diff)
-    )
+    value = elbo + balance_regularizer(pi_anchor, lam)
+    return value + float(balance_gradient(pi_anchor, lam) @ diff) - 0.5 * lam * float(diff @ diff)
 
 
 def objective_value(

@@ -1,5 +1,6 @@
 """Baseline clusterers and partition metrics."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -48,6 +49,24 @@ class TestKmeans:
     def test_too_few_points(self):
         with pytest.raises(TooFewPointsError):
             kmeans_fit(np.eye(2), 3, seed=0)
+
+    @pytest.mark.parametrize(
+        "seed, n, d, k, digest",
+        [
+            (0, 2000, 8, 6, "b959c8b5db2bec31"),
+            (1, 3000, 16, 10, "57b672fb1c74458c"),
+            (2, 4000, 32, 24, "db5b6178966e22cc"),
+        ],
+    )
+    def test_labels_pinned(self, seed, n, d, k, digest):
+        # Plain k-means++ (one D^2 draw a step) and Lloyd until no label
+        # moves: the baseline the collapse and teacher-ordering gates compare
+        # against. Only the spherical initializer seeds greedily and stops
+        # early, so these labels must not move.
+        means = mixture_means(k, d, seed, "random")
+        X, _ = sample_mixture(n, means, np.full(k, 20.0), None, seed=seed)
+        labels = kmeans_fit(X, k, seed).labels.astype(np.int64)
+        assert hashlib.sha256(labels.tobytes()).hexdigest()[:16] == digest
 
 
 class TestSphericalKmeans:

@@ -18,6 +18,7 @@ from spheremix.geometry import (
     normalize,
     sample_vmf,
 )
+import spheremix.inference as inference
 from spheremix.inference import (
     FitConfig,
     FitResult,
@@ -33,8 +34,10 @@ from spheremix.objective import (
     empirical_mass,
     log_component_scores,
     posterior,
+    softmax_rows,
     surrogate_from_scores,
     surrogate_value,
+    sweep_from_scores,
 )
 from spheremix.synth import mixture_means, sample_mixture
 
@@ -109,6 +112,61 @@ class TestInitSphericalKmeans:
     def test_too_few_points(self):
         with pytest.raises(TooFewPointsError):
             init_spherical_kmeans(np.eye(3), 4, seed=0)
+
+    def test_greedy_seeding_keeps_the_lowest_potential_candidate(self, monkeypatch):
+        # Each seeding step scores 2 + floor(ln k) D^2 draws as one block and
+        # keeps the draw whose addition leaves the least total spread.
+        X = random_unit_rows(np.random.default_rng(8), 300, 5)
+        k = 8
+        spread, closeness, own, centroid = inference._SPHERICAL
+        blocks, seeds = [], []
+
+        def record_spread(X, C):
+            blocks.append(np.array(C, copy=True))
+            return spread(X, C)
+
+        def record_closeness(X, C):
+            if not seeds:  # the first assignment sees the seeds, before Lloyd
+                seeds.append(np.array(C, copy=True))
+            return closeness(X, C)
+
+        monkeypatch.setattr(
+            inference, "_SPHERICAL", (record_spread, record_closeness, own, centroid)
+        )
+        init_spherical_kmeans(X, k, seed=5)
+        (centers,) = seeds
+        assert len(blocks) == k
+        np.testing.assert_array_equal(blocks[0], centers[0])
+        d2 = spread(X, centers[0])
+        for j in range(1, k):
+            assert blocks[j].shape == (2 + int(math.log(k)), X.shape[1])
+            pots = [float(np.minimum(d2, spread(X, c)).sum()) for c in blocks[j]]
+            chosen = [i for i, c in enumerate(blocks[j]) if np.array_equal(c, centers[j])]
+            assert chosen, j
+            assert pots[chosen[0]] <= min(pots) * (1.0 + 1e-12), (j, pots)
+            d2 = np.minimum(d2, spread(X, centers[j]))
+
+    def test_lloyd_stops_once_labels_settle(self, monkeypatch):
+        # Work guard: Lloyd stops once at most 0.1% of labels move, where the
+        # plain k-means++/until-equal loop took 153 rounds over these 8 init
+        # seeds (at most 36 on one).
+        X, _ = sample_mixture(
+            10000, mixture_means(24, 32, 3, "random"), np.full(24, 100.0), None, seed=3
+        )
+        spread, closeness, own, centroid = inference._SPHERICAL
+        calls = [0]
+
+        def counted(X, C):
+            calls[0] += 1
+            return closeness(X, C)
+
+        monkeypatch.setattr(inference, "_SPHERICAL", (spread, counted, own, centroid))
+        rounds = []
+        for seed in range(8):
+            calls[0] = 0
+            init_spherical_kmeans(X, 24, seed)
+            rounds.append(calls[0] - 1)  # one assignment precedes the rounds
+        assert sum(rounds) <= 80, rounds
 
 
 class TestEStep:
@@ -198,6 +256,22 @@ class TestEStep:
                     best, best_val = cur, val
             got = e_step(log_component_scores(X, theta), gamma, FitConfig(k=k, lam=lam))
             np.testing.assert_allclose(got, best, rtol=0.0, atol=1e-12)
+
+    def test_sweep_value_is_the_surrogate_of_its_iterate(self):
+        # A sweep is scored from its softmax's row log-normalizers:
+        # sum gamma.s + H(gamma) = sum_i lse(s_i + shift) - n pi(gamma).shift.
+        rng = np.random.default_rng(9)
+        for _ in range(200):
+            n, k, d = int(rng.integers(1, 120)), int(rng.integers(1, 8)), 6
+            X = random_unit_rows(rng, n, d)
+            scores = log_component_scores(X, random_params(rng, k, d, kappa_hi=500.0))
+            shift = rng.normal(scale=float(rng.choice([0.0, 0.1, 10.0])), size=k)
+            pi_t = random_gamma(rng, n, k).mean(axis=0)
+            lam = float(rng.choice([0.0, 10.0, 5000.0, 1e8]))
+            gamma, val = sweep_from_scores(scores, shift, pi_t, lam)
+            np.testing.assert_array_equal(gamma, softmax_rows(scores + shift))
+            ref = surrogate_from_scores(scores, gamma, pi_t, lam)
+            assert abs(val - ref) <= 1e-12 * abs(ref), (val, ref)
 
     @given(st.integers(2, 20), st.integers(2, 4), st.integers(0, 500))
     @settings(max_examples=25)

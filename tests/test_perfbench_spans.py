@@ -43,6 +43,7 @@ def test_fit_records_a_span_for_each_step():
         "inference.m_step_kappa",
         "objective.log_component_scores",
         "objective.objective_from_scores",
+        "objective.surrogate_from_scores",
         "objective.entropy_total",
         "objective.check_responsibilities",
     ):

@@ -69,7 +69,7 @@ def _solver_input(args) -> tuple[np.ndarray, np.ndarray, FitConfig]:
     seed_init, seed_sub = _child_seeds(args.seed, 2)
     rows = _subsample(seed_sub, X.shape[0], args.seed_fraction)
     cfg = FitConfig(max_iters=args.max_iters, stop_tol=args.stop_tol, seed=seed_init)
-    return X[rows], rows, cfg
+    return (X if rows.size == X.shape[0] else X[rows]), rows, cfg
 
 
 def _fit_partition(result: FitResult, X: np.ndarray) -> HardPartition:
@@ -353,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_distill)
 
     p = sub.add_parser("eval", help="partition metrics (optionally against truth labels)")
-    p.add_argument("--pred", required=True, help="predicted labels file")
+    p.add_argument("--pred", required=True, help="labels, one per line, or assign's TSV")
     p.add_argument("--truth", default=None, help="reference labels file")
     p.add_argument("--k", type=int, default=None, help="cluster count (default max label + 1)")
     _add_common(p)

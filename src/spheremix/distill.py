@@ -14,6 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import (
+    DivergedError,
     EmptySetError,
     MissingDocumentError,
     SingleClassError,
@@ -242,6 +243,7 @@ def train_student(
     loss_trace. Weights accumulate in float64 during training, only for the
     buckets the training documents touch, and are scattered into a zero
     float32 (buckets, k) matrix at the end (the serialized precision).
+    Raises DivergedError when an epoch's loss, or a float32 weight or bias, is not finite.
     """
     ds = ds.validate()
     if len(ds) == 0:
@@ -265,26 +267,33 @@ def train_student(
     total_steps = epochs * n
     step = 0
     losses = []
-    for _ in range(epochs):
-        for i in rng.permutation(n):
-            rate = lr * (1.0 - step / total_steps)
-            step += 1
-            idx, val = feats[i]
-            p = _softmax(_scores(w, b, idx, val))
-            p[ds.labels[i]] -= 1.0  # gradient of CE wrt scores
-            b -= rate * p
-            w[idx] -= (rate * val)[:, None] * p
-        total = 0.0
-        for (idx, val), y in zip(feats, ds.labels):
-            s = _scores(w, b, idx, val)
-            s -= s.max()
-            total += float(np.log(np.exp(s).sum()) - s[y])
-        losses.append(total / n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(1, epochs + 1):
+            for i in rng.permutation(n):
+                rate = lr * (1.0 - step / total_steps)
+                step += 1
+                idx, val = feats[i]
+                p = _softmax(_scores(w, b, idx, val))
+                p[ds.labels[i]] -= 1.0  # gradient of CE wrt scores
+                b -= rate * p
+                w[idx] -= (rate * val)[:, None] * p
+            total = 0.0
+            for (idx, val), y in zip(feats, ds.labels):
+                s = _scores(w, b, idx, val)
+                s -= s.max()
+                total += float(np.log(np.exp(s).sum()) - s[y])
+            if not np.isfinite(total):
+                raise DivergedError(f"training diverged in epoch {epoch}: loss {total / n}")
+            losses.append(total / n)
+        w32, b32 = w.astype(np.float32), b.astype(np.float32)
+        if not np.isfinite(w32.sum(dtype=np.float64) + b32.sum(dtype=np.float64)):
+            raise DivergedError(f"training diverged by epoch {epochs}: weights overflow float32")
+    del w  # before the dense matrix is made, so the peak holds one compact copy
     weights = np.zeros((spec.buckets, k), dtype=np.float32)
-    weights[rows] = w  # rounds as astype(np.float32) does
+    weights[rows] = w32
     return StudentModel(
         weights=weights,
-        bias=b.astype(np.float32),
+        bias=b32,
         featurizer=spec,
         loss_trace=np.asarray(losses),
     )

@@ -33,6 +33,10 @@ class EmptySetError(SphereMixError):
     """An empty collection where at least one element is required."""
 
 
+class DivergedError(SphereMixError):
+    """Training produced a non-finite loss, weight or bias."""
+
+
 class MissingDocumentError(SphereMixError):
     """A selected index has no corresponding document text."""
 

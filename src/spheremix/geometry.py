@@ -27,6 +27,23 @@ _NORM_EPS = 1e-12
 # bound for the GEMEMB1 normalized flag and for the rows fit() accepts.
 UNIT_TOL = 1e-5
 
+# Entries in one row block (2^17 float64 = 1 MB): a row-wise pass's scratch.
+BLOCK_ENTRIES = 1 << 17
+
+
+def row_blocks(n: int, width: int) -> list[slice]:
+    """Slices covering rows [0, n) in order, BLOCK_ENTRIES // width rows each."""
+    step = max(1, BLOCK_ENTRIES // max(width, 1))
+    return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
+
+
+def row_norms(X: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(X, axis=1) in float64, same bits, by row blocks: no full-size temporary."""
+    norms = np.empty(X.shape[0])
+    for b in row_blocks(*X.shape):
+        norms[b] = np.linalg.norm(X[b].astype(np.float64, copy=False), axis=1)
+    return norms
+
 
 def normalize(v: np.ndarray) -> np.ndarray:
     """Project a vector (or each row of a matrix) onto the unit sphere.
@@ -56,7 +73,7 @@ def as_embeddings(X: np.ndarray) -> np.ndarray:
     n, d = X.shape
     if n < 1 or d < 2:
         raise DimensionMismatchError(f"need n >= 1 and d >= 2, got shape {X.shape}")
-    norms = np.linalg.norm(X, axis=1)
+    norms = row_norms(X)
     if not np.all(np.abs(norms - 1.0) <= UNIT_TOL):  # NaN rows fail too
         bad = int(np.argmax(np.abs(norms - 1.0)))
         raise ZeroVectorError(

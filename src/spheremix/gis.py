@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import MissingDocumentError, SizeMismatchError
-from .geometry import vmf_log_density
+from .geometry import row_blocks, vmf_log_density
 from .objective import MixtureParams, check_responsibilities
 
 PROMPT_TEMPLATE = """You are an expert data taxonomist.
@@ -70,10 +70,6 @@ class RepresentativeSet:
         return len(self.indices)
 
 
-# Cap on the cosine entries one block of rows holds (2^17 float64 = 1 MB),
-# so local_density's extra memory is O(block * n_k), never n_k^2.
-_BLOCK_ENTRIES = 1 << 17
-
 # Shift inside the certainty and support logs, log(gamma_ik + eps) and
 # log(rho + eps), so a zero never reaches the log.
 _EPS = 1e-8
@@ -86,22 +82,21 @@ def local_density(X_c: np.ndarray, rows: np.ndarray, m_neighbors: int) -> np.nda
     a nearer point in another cluster is never seen. When the cluster has
     fewer than m other members, all of them are used; a singleton cluster
     has no neighbors and gets rho = 0. The rows are compared with the
-    cluster in blocks of at most _BLOCK_ENTRIES cosines.
+    cluster in row blocks (geometry.row_blocks), so the extra memory is O(1 MB).
     """
     n_k = X_c.shape[0]
     rho = np.zeros(rows.size)
     if n_k == 1:
         return rho
     m = min(m_neighbors, n_k - 1)
-    block = max(1, _BLOCK_ENTRIES // n_k)
-    for lo in range(0, rows.size, block):
-        r = rows[lo : lo + block]
+    for b in row_blocks(rows.size, n_k):
+        r = rows[b]
         cos = X_c[r] @ X_c.T
         cos[np.arange(r.size), r] = -np.inf
         cos.partition(n_k - m, axis=1)
         # Ascending, as np.sort(cos)[-m:] leaves them, so the mean sums
         # in one order whatever the block.
-        rho[lo : lo + block] = np.sort(cos[:, n_k - m :], axis=1).mean(axis=1)
+        rho[b] = np.sort(cos[:, n_k - m :], axis=1).mean(axis=1)
     return rho
 
 

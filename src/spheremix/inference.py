@@ -18,6 +18,7 @@ from .errors import TooFewPointsError
 from .geometry import KAPPA_MAX, as_embeddings, mean_resultant_length, normalize
 from .objective import (
     MixtureParams,
+    _softmax_lse,
     balance_gradient,
     check_responsibilities,
     log_component_scores,
@@ -156,33 +157,36 @@ def init_spherical_kmeans(X: np.ndarray, k: int, seed: int) -> MixtureParams:
     return MixtureParams(means=centers, kappas=np.full(k, _KAPPA_INIT)).validate()
 
 
-def e_step(scores: np.ndarray, gamma: np.ndarray, cfg: FitConfig) -> np.ndarray:
+def e_step(
+    scores: np.ndarray, gamma: np.ndarray, cfg: FitConfig, out: np.ndarray | None = None
+) -> np.ndarray:
     """One surrogate ascent in gamma at fixed theta, given theta's (n, k)
     component scores (log_component_scores).
 
     Runs _ESTEP_SWEEPS row-wise closed-form updates: the softmax of the
     component scores shifted by the balance gradient grad R(pi(gamma)) / n,
-    with pi(gamma) refreshed between sweeps (sweep_from_scores). Returns the
-    best iterate by the surrogate anchored at the input's mass, falling back
-    to the input gamma itself, so the surrogate value never decreases; by
-    the minorization argument neither does the objective.
+    with pi(gamma) refreshed between sweeps (sweep_from_scores, by row blocks).
+    Only the best by the surrogate anchored at the input's mass is formed, into
+    `out` if given (gamma itself may be); the input wins ties and is returned
+    with `out` untouched, so neither the surrogate nor the objective falls.
 
     With lam = 0 the shift vanishes and every sweep returns the exact
     posterior, the global maximizer of the surrogate.
     """
     gamma = check_responsibilities(gamma)
     n = gamma.shape[0]
-    pi_anchor = gamma.mean(axis=0)
+    pi = pi_anchor = gamma.mean(axis=0)
 
-    best = gamma
-    best_val = surrogate_from_scores(scores, gamma, pi_anchor, cfg.lam)
-    cur = gamma
+    best_shift, best_val = None, surrogate_from_scores(scores, gamma, pi_anchor, cfg.lam)
     for _ in range(_ESTEP_SWEEPS):
-        shift = balance_gradient(cur.mean(axis=0), cfg.lam) / n
-        cur, val = sweep_from_scores(scores, shift, pi_anchor, cfg.lam)
+        shift = balance_gradient(pi, cfg.lam) / n
+        pi, val = sweep_from_scores(scores, shift, pi_anchor, cfg.lam)
         if val > best_val:
-            best, best_val = cur, val
-    return best
+            best_shift, best_val = shift, val
+    if best_shift is None:
+        return gamma
+    logits = np.add(scores, best_shift, out=out)
+    return _softmax_lse(logits, out=logits)[0]
 
 
 def m_step_mu(r: np.ndarray) -> np.ndarray:
@@ -279,8 +283,9 @@ def fit(X: np.ndarray, cfg: FitConfig) -> FitResult:
     prev = None
     converged = False
     for _ in range(cfg.max_iters):
-        gamma = e_step(scores, gamma, cfg)
+        gamma = e_step(scores, gamma, cfg, out=gamma)
         theta = _m_step(theta, gamma, X, scores)
+        del scores  # so the old scores are freed before the new ones exist
         scores = log_component_scores(X, theta)
         value = objective_from_scores(scores, gamma, cfg.lam)
         trace.append(value)

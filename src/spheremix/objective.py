@@ -20,7 +20,7 @@ import numpy as np
 from scipy import special
 
 from .errors import DimensionMismatchError, SizeMismatchError
-from .geometry import KAPPA_MAX, log_vmf_norm_consts
+from .geometry import KAPPA_MAX, log_vmf_norm_consts, row_blocks
 
 _ROW_SUM_ATOL = 1e-9
 
@@ -62,7 +62,7 @@ def check_responsibilities(gamma: np.ndarray) -> np.ndarray:
     gamma = np.asarray(gamma, dtype=np.float64)
     if gamma.ndim != 2:
         raise DimensionMismatchError(f"expected (n, k) responsibilities, got {gamma.shape}")
-    if np.any(gamma < -_ROW_SUM_ATOL):
+    if gamma.min(initial=0.0) < -_ROW_SUM_ATOL:
         raise ValueError("responsibilities must be nonnegative")
     rows = gamma.sum(axis=1)
     if np.any(np.abs(rows - 1.0) > _ROW_SUM_ATOL):
@@ -96,8 +96,9 @@ def balance_gradient(pi: np.ndarray, lam: float) -> np.ndarray:
 
 
 def entropy_total(gamma: np.ndarray) -> float:
-    """Sum of row entropies of a responsibility matrix."""
-    return -float(np.sum(special.xlogy(gamma, gamma)))
+    """Sum of row entropies of a responsibility matrix, one row block at a time."""
+    blocks = row_blocks(*gamma.shape)
+    return -sum(float(np.sum(special.xlogy(gamma[b], gamma[b]))) for b in blocks)
 
 
 def log_component_scores(X: np.ndarray, theta: MixtureParams) -> np.ndarray:
@@ -110,13 +111,17 @@ def log_component_scores(X: np.ndarray, theta: MixtureParams) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.shape[1] != theta.d:
         raise DimensionMismatchError(f"X has d={X.shape[1]}, theta has d={theta.d}")
-    log_c = log_vmf_norm_consts(theta.d, theta.kappas)
-    return X @ theta.means.T * theta.kappas[None, :] + log_c[None, :] - np.log(theta.k)
+    scores = X @ theta.means.T
+    scores *= theta.kappas
+    scores += log_vmf_norm_consts(theta.d, theta.kappas)
+    scores -= np.log(theta.k)
+    return scores
 
 
 def posterior(theta: MixtureParams, X: np.ndarray) -> np.ndarray:
-    """Exact posterior responsibilities: row-softmax of the component scores."""
-    return softmax_rows(log_component_scores(X, theta))
+    """Exact posterior responsibilities: the scores' row-softmax, in place."""
+    scores = log_component_scores(X, theta)
+    return _softmax_lse(scores, out=scores)[0]
 
 
 def softmax_rows(logits: np.ndarray) -> np.ndarray:
@@ -138,10 +143,11 @@ def _softmax_lse(
 
 
 def elbo_from_scores(scores: np.ndarray, gamma: np.ndarray) -> float:
-    """Fidelity part sum_ik gamma_ik scores_ik plus the entropy of gamma."""
+    """sum_ik gamma_ik scores_ik plus the entropy of gamma, by row blocks."""
     if scores.shape != gamma.shape:
         raise SizeMismatchError(f"scores {scores.shape} vs gamma {gamma.shape}")
-    return float(np.sum(gamma * scores)) + entropy_total(gamma)
+    fidelity = sum(float(np.sum(gamma[b] * scores[b])) for b in row_blocks(*gamma.shape))
+    return fidelity + entropy_total(gamma)
 
 
 def objective_from_scores(scores: np.ndarray, gamma: np.ndarray, lam: float) -> float:
@@ -165,13 +171,21 @@ def surrogate_from_scores(
 def sweep_from_scores(
     scores: np.ndarray, shift: np.ndarray, pi_anchor: np.ndarray, lam: float
 ) -> tuple[np.ndarray, float]:
-    """gamma = softmax_rows(scores + shift) and its surrogate_from_scores value,
-    read off the row log-normalizers with no further n x k pass: for such a
-    gamma, sum gamma.s + H(gamma) = sum_i lse(s_i + shift) - n pi(gamma).shift."""
-    logits = scores + shift
-    gamma, lse = _softmax_lse(logits, out=logits)
-    pi = gamma.mean(axis=0)
-    return gamma, _anchored(float(lse.sum()) - len(lse) * float(pi @ shift), pi, pi_anchor, lam)
+    """pi(gamma) and surrogate_from_scores of gamma = softmax_rows(scores + shift),
+    formed by row blocks, never whole. The value is read off the row normalizers:
+    sum gamma.s + H(gamma) = sum_i lse(s_i + shift) - n pi.shift. A carry row atop
+    each block adds column sums in row order, so pi has gamma.mean(axis=0)'s bits."""
+    n, k = scores.shape
+    lse = np.empty(n)
+    colsum = np.zeros(k)
+    for b in row_blocks(n, k):
+        block = np.empty((b.stop - b.start + 1, k))
+        block[0] = colsum
+        np.add(scores[b], shift, out=block[1:])
+        lse[b] = _softmax_lse(block[1:], out=block[1:])[1]
+        colsum = block.sum(axis=0)
+    pi = colsum / n
+    return pi, _anchored(float(lse.sum()) - n * float(pi @ shift), pi, pi_anchor, lam)
 
 
 def _anchored(elbo: float, pi: np.ndarray, pi_anchor: np.ndarray, lam: float) -> float:

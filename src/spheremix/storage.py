@@ -28,7 +28,7 @@ from .errors import (
     SizeMismatchError,
     TruncatedPayloadError,
 )
-from .geometry import UNIT_TOL
+from .geometry import UNIT_TOL, row_blocks, row_norms
 from .objective import MixtureParams
 
 if TYPE_CHECKING:
@@ -75,9 +75,7 @@ def write_embeddings(X: np.ndarray, path: str | Path, normalized: bool | None = 
     if X32.ndim != 2:
         raise SizeMismatchError(f"expected (n, d) array, got shape {X32.shape}")
     n, d = X32.shape
-    unit = bool(
-        np.all(np.abs(np.linalg.norm(X32.astype(np.float64), axis=1) - 1.0) <= UNIT_TOL)
-    )
+    unit = bool(np.all(np.abs(row_norms(X32) - 1.0) <= UNIT_TOL))
     if normalized is None:
         normalized = unit
     elif normalized and not unit:
@@ -87,30 +85,34 @@ def write_embeddings(X: np.ndarray, path: str | Path, normalized: bool | None = 
 
 
 def read_embeddings(path: str | Path) -> np.ndarray:
-    """Read a GEMEMB1 file into float64 rows (f32 values exactly widened)."""
-    blob = Path(path).read_bytes()
-    if blob[: len(EMB_MAGIC)] != EMB_MAGIC:
-        raise BadMagicError(f"{path}: expected magic {EMB_MAGIC!r}")
-    off = len(EMB_MAGIC)
-    try:
-        version, n, d, flag = struct.unpack_from("<IQIB", blob, off)
-    except struct.error as exc:
-        raise TruncatedPayloadError(f"{path}: header truncated") from exc
-    if version != EMB_VERSION:
-        raise BadMagicError(f"{path}: unsupported version {version}")
-    if d < 1:
-        raise MalformedFileError(f"{path}: header declares d={d}, need d >= 1")
-    off += struct.calcsize("<IQIB")
-    need = n * d * 4
-    if len(blob) - off < need:
-        raise TruncatedPayloadError(
-            f"{path}: payload holds {len(blob) - off} bytes, header declares {need}"
-        )
-    X = np.frombuffer(blob, dtype="<f4", count=n * d, offset=off).reshape(n, d)
-    X = X.astype(np.float64)
+    """Read a GEMEMB1 file into float64 rows (f32 exactly widened), by row blocks."""
+    off = len(EMB_MAGIC) + struct.calcsize("<IQIB")
+    with open(path, "rb") as fh:
+        head = fh.read(off)
+        if head[: len(EMB_MAGIC)] != EMB_MAGIC:
+            raise BadMagicError(f"{path}: expected magic {EMB_MAGIC!r}")
+        try:
+            version, n, d, flag = struct.unpack_from("<IQIB", head, len(EMB_MAGIC))
+        except struct.error as exc:
+            raise TruncatedPayloadError(f"{path}: header truncated") from exc
+        if version != EMB_VERSION:
+            raise BadMagicError(f"{path}: unsupported version {version}")
+        if d < 1:
+            raise MalformedFileError(f"{path}: header declares d={d}, need d >= 1")
+        have, need = os.fstat(fh.fileno()).st_size - off, n * d * 4
+        if have < need:
+            raise TruncatedPayloadError(
+                f"{path}: payload holds {have} bytes, header declares {need}"
+            )
+        X = np.empty((n, d))
+        for b in row_blocks(n, d):
+            chunk = np.empty((b.stop - b.start, d), dtype="<f4")
+            if fh.readinto(chunk) != chunk.nbytes:
+                raise TruncatedPayloadError(f"{path}: payload ended before row {b.stop}")
+            X[b] = chunk
     # Squares of widened f32 values cannot overflow f64, so a row's norm is
     # finite exactly when all its values are.
-    norms = np.linalg.norm(X, axis=1)
+    norms = row_norms(X)
     finite = np.isfinite(norms)
     if not np.all(finite):
         raise MalformedFileError(
@@ -279,10 +281,14 @@ def write_labels(path: str | Path, labels: np.ndarray) -> None:
 
 
 def read_labels(path: str | Path) -> np.ndarray:
-    return np.asarray(
-        [_parse_label(line, path, j) for j, line in enumerate(_read_lines(path), 1)],
-        dtype=np.int64,
-    )
+    """One integer label per line, or the index<TAB>label<TAB>probability
+    rows `assign` writes, whose index must count up from 0."""
+    labels = []
+    for j, line in enumerate(_read_lines(path), 1):
+        if len(fields := line.split("\t")) == 3 and fields[0] != str(j - 1):
+            raise MalformedFileError(f"{path}: line {j}: index {fields[0][:40]!r}, not {j - 1}")
+        labels.append(_parse_label(fields[1] if len(fields) == 3 else line, path, j))
+    return np.asarray(labels, dtype=np.int64)
 
 
 def write_texts(path: str | Path, texts: list[str]) -> None:

@@ -1,4 +1,6 @@
-"""Shared fixtures and small random-instance factories."""
+"""Shared fixtures, small random-instance factories and a memory probe."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,6 +34,18 @@ def random_params(rng: np.random.Generator, k: int, d: int, kappa_hi: float = 50
     means = random_unit_rows(rng, k, d)
     kappas = rng.uniform(0.1, kappa_hi, size=k)
     return MixtureParams(means=means, kappas=kappas)
+
+
+def traced_peak(fn, *args, **kwargs):
+    """fn(*args, **kwargs) and the peak bytes tracemalloc saw allocated
+    while it ran, counting only what was allocated after the call began."""
+    tracemalloc.start()
+    try:
+        result = fn(*args, **kwargs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 @pytest.fixture

@@ -128,6 +128,18 @@ class TestSynthFitEval:
         vals = np.array([float(line.split(",")[1]) for line in lines[1:]])
         assert np.all(np.diff(vals) >= -1e-6)
 
+    def test_eval_reads_the_assign_tsv(self, tmp_path, capsys):
+        emb, truth = make_corpus(tmp_path, capsys)
+        model, assigns, labels = tmp_path / "m.json", tmp_path / "a.tsv", tmp_path / "l.txt"
+        assert run(capsys, "fit", "--input", emb, "--output", model, "--k", 3)[0] == 0
+        assert run(capsys, "assign", "--input", emb, "--model", model,
+                   "--output", assigns)[0] == 0
+        storage.write_labels(labels, [int(line.split("\t")[1])
+                                      for line in assigns.read_text().splitlines()])
+        code, from_tsv, _ = run(capsys, "eval", "--pred", assigns, "--truth", truth)
+        assert code == 0
+        assert from_tsv == run(capsys, "eval", "--pred", labels, "--truth", truth)[1]
+
     def test_eval_without_truth(self, tmp_path, capsys):
         pred = tmp_path / "pred.txt"
         storage.write_labels(pred, np.array([0, 0, 1, 1, 2]))
@@ -276,6 +288,24 @@ class TestDistillCommand:
                            "--dataset", dataset, "--distill-m", 20, *flags)
         assert code == 1
         assert out.err == f"spheremix: ValueError: {message}\n"
+        assert not student.exists() and not dataset.exists()
+
+    def test_diverged_training_is_one_error_line(self, tmp_path, capsys):
+        # The weights overflow float32: a data error, with no numpy warning
+        # and nothing written.
+        emb, _ = make_corpus(tmp_path, capsys, n=200, components=2, texts=True)
+        model = tmp_path / "model.json"
+        assert run(capsys, "fit", "--input", emb, "--output", model, "--k", 2)[0] == 0
+        student, dataset = tmp_path / "s.bin", tmp_path / "d.tsv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, out = run(capsys, "distill", "--input", emb, "--model", model,
+                               "--texts", tmp_path / "texts.txt", "--output", student,
+                               "--dataset", dataset, "--lr", 1e300, "--distill-m", 20,
+                               "--epochs", 1)
+        assert code == 1
+        assert out.err == ("spheremix: data error: training diverged by epoch 1: "
+                           "weights overflow float32\n")
         assert not student.exists() and not dataset.exists()
 
 

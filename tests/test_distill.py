@@ -1,10 +1,9 @@
 """Pseudo-label curation, hashed n-gram featurizer, student training."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
+from conftest import traced_peak
 from spheremix.distill import (
     FeaturizerSpec,
     PseudoLabeledSet,
@@ -17,6 +16,7 @@ from spheremix.distill import (
     train_student,
 )
 from spheremix.errors import (
+    DivergedError,
     EmptySetError,
     MissingDocumentError,
     SingleClassError,
@@ -197,6 +197,17 @@ class TestTrainStudent:
         assert pred == ds.labels[0]
         assert probs[pred] > 0.9
 
+    @pytest.mark.parametrize("lr, message", [
+        (1e308, "in epoch 1: loss nan"),
+        (1e300, "by epoch 2: weights overflow float32"),
+    ])
+    def test_divergence_names_the_epoch(self, lr, message):
+        # At 1e308 the first epoch's loss overflows float64; at 1e300 the
+        # loss stays finite, but the weights overflow float32 on return.
+        ds = toy_dataset(n_per_class=20, k=3)
+        with pytest.raises(DivergedError, match=message):
+            train_student(ds, epochs=2, lr=lr, seed=0, spec=SMALL_SPEC)
+
     def test_loss_trace_non_increasing(self):
         ds = toy_dataset(n_per_class=30, k=3)
         model = train_student(ds, epochs=10, lr=0.1, seed=1, spec=SMALL_SPEC)
@@ -248,12 +259,7 @@ class TestTrainStudent:
             source_ids=np.arange(labels.size),
             k=k,
         ).validate()
-        tracemalloc.start()
-        try:
-            model = train_student(ds, epochs=2, seed=0, spec=spec)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        model, peak = traced_peak(train_student, ds, epochs=2, seed=0, spec=spec)
         assert model.weights.shape == (spec.buckets, k)
         assert peak < 1.5 * model.weights.nbytes
 

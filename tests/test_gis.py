@@ -2,14 +2,13 @@
 
 import math
 import os
-import tracemalloc
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import random_gamma, random_params, random_unit_rows
+from conftest import random_gamma, random_params, random_unit_rows, traced_peak
 from spheremix import gis
 from spheremix.errors import MissingDocumentError
 from spheremix.geometry import log_vmf_norm_const, normalize, sample_uniform_sphere, sample_vmf
@@ -344,12 +343,7 @@ class TestBlockedGisOracle:
         X = random_unit_rows(rng, 4000, 16)
         theta = random_params(rng, 1, 16)
         gamma = np.ones((4000, 1))
-        tracemalloc.start()
-        try:
-            select_representatives(X, gamma, theta, GisConfig())
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(select_representatives, X, gamma, theta, GisConfig())
         assert peak < 4 * 2**20, peak
 
     def test_one_gather_of_the_cluster_at_a_time(self):
@@ -359,12 +353,7 @@ class TestBlockedGisOracle:
         X = random_unit_rows(rng, 20_000, 64)
         theta = random_params(rng, 1, 64)
         gamma = np.ones((X.shape[0], 1))
-        tracemalloc.start()
-        try:
-            select_representatives(X, gamma, theta, GisConfig())
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(select_representatives, X, gamma, theta, GisConfig())
         assert peak < 1.6 * X.nbytes, peak / X.nbytes
 
 

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_gamma, random_params, random_unit_rows
+from conftest import random_gamma, random_params, random_unit_rows, traced_peak
+import spheremix.geometry as geometry
 from spheremix.errors import TooFewPointsError
 from spheremix.geometry import (
     KAPPA_MAX,
@@ -31,6 +32,8 @@ from spheremix.inference import (
 )
 from spheremix.objective import (
     MixtureParams,
+    _anchored,
+    _softmax_lse,
     empirical_mass,
     log_component_scores,
     posterior,
@@ -268,10 +271,55 @@ class TestEStep:
             shift = rng.normal(scale=float(rng.choice([0.0, 0.1, 10.0])), size=k)
             pi_t = random_gamma(rng, n, k).mean(axis=0)
             lam = float(rng.choice([0.0, 10.0, 5000.0, 1e8]))
-            gamma, val = sweep_from_scores(scores, shift, pi_t, lam)
-            np.testing.assert_array_equal(gamma, softmax_rows(scores + shift))
+            pi, val = sweep_from_scores(scores, shift, pi_t, lam)
+            gamma = softmax_rows(scores + shift)
+            np.testing.assert_array_equal(pi, gamma.mean(axis=0))
             ref = surrogate_from_scores(scores, gamma, pi_t, lam)
             assert abs(val - ref) <= 1e-12 * abs(ref), (val, ref)
+
+    @pytest.mark.parametrize("block_entries", [1 << 17, 7, 64])
+    def test_blocked_sweep_matches_the_formed_softmax(self, monkeypatch, block_entries):
+        # The sweep with its softmax formed whole, scored from the same
+        # normalizers. Row blocks change neither pi nor the value: a row's
+        # softmax does not depend on the block, the log-normalizers are
+        # summed once, and the carry row keeps the column sums in row order.
+        monkeypatch.setattr(geometry, "BLOCK_ENTRIES", block_entries)
+        rng = np.random.default_rng(10)
+        for _ in range(100):
+            n, k = int(rng.integers(1, 400)), int(rng.integers(1, 9))
+            X = random_unit_rows(rng, n, 6)
+            scores = log_component_scores(X, random_params(rng, k, 6, kappa_hi=500.0))
+            shift = rng.normal(scale=float(rng.choice([0.1, 10.0])), size=k)
+            pi_t = random_gamma(rng, n, k).mean(axis=0)
+            lam = float(rng.choice([10.0, 5000.0]))
+            gamma, lse = _softmax_lse(scores + shift)
+            pi_ref = gamma.mean(axis=0)
+            val_ref = _anchored(float(lse.sum()) - n * float(pi_ref @ shift), pi_ref, pi_t, lam)
+            pi, val = sweep_from_scores(scores, shift, pi_t, lam)
+            np.testing.assert_array_equal(pi, pi_ref)
+            assert val == val_ref
+
+    def test_out_receives_the_winning_sweep(self):
+        # e_step(..., out=g) returns g holding exactly what e_step(...)
+        # returns; when the input wins, it is returned and g is untouched.
+        rng = np.random.default_rng(11)
+        seen = set()
+        for _ in range(200):
+            n, k = int(rng.integers(2, 60)), int(rng.integers(2, 6))
+            X = random_unit_rows(rng, n, 5)
+            scores = log_component_scores(X, random_params(rng, k, 5))
+            gamma = random_gamma(rng, n, k)
+            cfg = FitConfig(k=k, lam=float(rng.choice([10.0, 1e8])))
+            want = e_step(scores, gamma, cfg)
+            g = np.full((n, k), np.nan)
+            got = e_step(scores, gamma, cfg, out=g)
+            np.testing.assert_array_equal(got, want)
+            if want is gamma:
+                assert got is gamma and np.all(np.isnan(g))
+            else:
+                assert got is g
+            seen.add(want is gamma)
+        assert seen == {True, False}
 
     @given(st.integers(2, 20), st.integers(2, 4), st.integers(0, 500))
     @settings(max_examples=25)
@@ -514,6 +562,19 @@ class TestFit:
         res = fit(X, FitConfig(k=3, lam=5000.0, seed=1))
         scores = log_component_scores(X, res.theta)
         assert objective_from_scores(scores, res.gamma, 5000.0) == res.objective_trace[-1]
+
+    def test_peak_memory_is_the_scores_and_gamma(self, monkeypatch):
+        # Above X, fit holds the (n, k) scores and gamma plus row blocks:
+        # each E-step sweep is scored block by block and only the winner is
+        # formed, into gamma. An empty-cluster reseed takes scipy's
+        # logsumexp over the scores, with temporaries of that size, so the
+        # corpus must not reseed.
+        monkeypatch.setattr(inference, "logsumexp", lambda *a, **kw: pytest.fail("reseeded"))
+        n, k = 50_000, 24
+        means = mixture_means(k, 16, 0, arrangement="random")
+        X, _ = sample_mixture(n, means, np.full(k, 100.0), None, seed=1)
+        _, peak = traced_peak(fit, X, FitConfig(k=k, max_iters=3, seed=0))
+        assert peak <= 2.5 * 8 * n * k, peak / (8 * n * k)
 
     def test_too_few_points(self):
         with pytest.raises(TooFewPointsError):

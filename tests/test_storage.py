@@ -4,13 +4,13 @@ models, escaped TSV."""
 import json
 import os
 import struct
-import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import traced_peak
 from spheremix.distill import FeaturizerSpec, StudentModel, predict_student
 from spheremix.errors import (
     BadMagicError,
@@ -140,6 +140,25 @@ class TestEmbeddings:
         path.write_bytes(b"GEMEMB1" + struct.pack("<IQIB", 1, 2, 3, flag) + rows.tobytes())
         with pytest.raises(MalformedFileError, match="row 1"):
             read_embeddings(path)
+
+    # 40,000 rows of d=128: 20 MB of float32 payload, 40 row blocks.
+    def test_read_holds_the_rows_once(self, tmp_path):
+        # The payload is widened one row block at a time into the returned
+        # array, and norms are taken per block: no copy of the file's bytes
+        # and no full-size squares temporary (about 2.5x nbytes before).
+        path = tmp_path / "emb.bin"
+        write_embeddings(normalize(np.random.default_rng(2).standard_normal((40_000, 128))), path)
+        X, peak = traced_peak(read_embeddings, path)
+        assert peak <= 1.2 * X.nbytes, peak / X.nbytes
+
+    def test_write_holds_one_float32_copy(self, tmp_path):
+        # Float64 rows are rounded to float32 once; the unit-norm check
+        # widens and squares one row block at a time (5.1x the payload
+        # before, from a float64 copy of the rounded rows and its squares).
+        X = normalize(np.random.default_rng(3).standard_normal((40_000, 128)))
+        _, peak = traced_peak(write_embeddings, X, tmp_path / "emb.bin")
+        payload = X.size * 4
+        assert peak <= 1.2 * payload, peak / payload
 
 
 class TestAtomicWrite:
@@ -321,12 +340,7 @@ class TestStudentFile:
         # The header, bias and weights are written one after another,
         # never joined into one bytes object.
         model = self.make_model(buckets=1 << 17, k=8)
-        tracemalloc.start()
-        try:
-            save_student(tmp_path / "student.bin", model)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(save_student, tmp_path / "student.bin", model)
         assert peak < 0.1 * model.weights.nbytes
 
     def test_truncated(self, tmp_path):
@@ -435,6 +449,18 @@ class TestEscapedTsv:
         path = tmp_path / "labels.txt"
         write_labels(path, labels)
         np.testing.assert_array_equal(read_labels(path), labels)
+
+    def test_labels_read_from_assign_rows(self, tmp_path):
+        path = tmp_path / "assign.tsv"
+        path.write_text("0\t3\t0.9\n1\t0\t1.0\n2\t3\t0.5000000000000001\n")
+        np.testing.assert_array_equal(read_labels(path), [3, 0, 3])
+
+    @pytest.mark.parametrize("body", ["0\t3\t0.9\n2\t0\t1.0\n", "0\t3\t0.9\n01\t0\t1.0\n"])
+    def test_assign_rows_count_up_from_zero(self, tmp_path, body):
+        path = tmp_path / "assign.tsv"
+        path.write_text(body)
+        with pytest.raises(MalformedFileError, match="assign.tsv: line 2: index"):
+            read_labels(path)
 
     def test_texts_round_trip(self, tmp_path):
         path = tmp_path / "texts.txt"

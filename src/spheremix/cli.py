@@ -173,10 +173,10 @@ def cmd_distill(args) -> int:
     spec = FeaturizerSpec(buckets=args.buckets, hash_seed=args.seed % 2**32)
     model = train_student(train, epochs=args.epochs, lr=args.lr, seed=seed_train, spec=spec)
     # Written only once training has accepted its flags, so a bad one
-    # writes nothing.
+    # writes nothing; the student first, which save_student may refuse.
+    storage.save_student(args.output, model)
     if args.dataset is not None:
         storage.write_dataset_tsv(args.dataset, ds.labels, ds.texts)
-    storage.save_student(args.output, model)
 
     _print_kv("train_size", len(train))
     _print_kv("val_size", len(val))

@@ -37,12 +37,30 @@ def row_blocks(n: int, width: int) -> list[slice]:
     return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
 
+def widened_blocks(X: np.ndarray):
+    """(slice, rows) over X's row blocks, the rows widened to float64 (a view
+    when X is float64): how float32 embeddings meet float64 arithmetic."""
+    for b in row_blocks(*X.shape):
+        yield b, X[b].astype(np.float64, copy=False)
+
+
 def row_norms(X: np.ndarray) -> np.ndarray:
-    """np.linalg.norm(X, axis=1) in float64, same bits, by row blocks: no full-size temporary."""
+    """np.linalg.norm(X, axis=1) in float64, same bits, by row blocks: no full-size
+    temporary, and float32 rows are squared straight into float64."""
     norms = np.empty(X.shape[0])
     for b in row_blocks(*X.shape):
-        norms[b] = np.linalg.norm(X[b].astype(np.float64, copy=False), axis=1)
+        norms[b] = np.sqrt(np.add.reduce(np.square(X[b], dtype=np.float64), axis=1))
     return norms
+
+
+def dot_rows(X: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """X @ C.T in float64 (X @ C for a 1-d C), one widened row block at a time:
+    each block goes through the same BLAS product as the whole array would."""
+    C = np.asarray(C, dtype=np.float64)
+    out = np.empty(X.shape[:1] + C.shape[:-1])
+    for b, rows in widened_blocks(X):
+        np.matmul(rows, C.T, out=out[b])
+    return out
 
 
 def normalize(v: np.ndarray) -> np.ndarray:
@@ -66,8 +84,10 @@ def normalize(v: np.ndarray) -> np.ndarray:
 
 
 def as_embeddings(X: np.ndarray) -> np.ndarray:
-    """Validate an (n, d) array of unit rows (UNIT_TOL) and return it as float64."""
-    X = np.asarray(X, dtype=np.float64)
+    """Validate an (n, d) array of unit rows (UNIT_TOL) and return it, float32
+    kept as it is (no copy), any other dtype as float64."""
+    X = np.asarray(X)
+    X = X if X.dtype == np.float32 else X.astype(np.float64, copy=False)
     if X.ndim != 2:
         raise DimensionMismatchError(f"expected a 2-d array, got shape {X.shape}")
     n, d = X.shape

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import MissingDocumentError, SizeMismatchError
-from .geometry import row_blocks, vmf_log_density
+from .geometry import row_blocks, row_norms, vmf_log_density
 from .objective import MixtureParams, check_responsibilities
 
 PROMPT_TEMPLATE = """You are an expert data taxonomist.
@@ -83,7 +83,9 @@ def local_density(X_c: np.ndarray, rows: np.ndarray, m_neighbors: int) -> np.nda
     fewer than m other members, all of them are used; a singleton cluster
     has no neighbors and gets rho = 0. The rows are compared with the
     cluster in row blocks (geometry.row_blocks), so the extra memory is O(1 MB).
+    Float32 rows are widened first, so the cosines are float64 either way.
     """
+    X_c = np.asarray(X_c, dtype=np.float64)
     n_k = X_c.shape[0]
     rho = np.zeros(rows.size)
     if n_k == 1:
@@ -159,12 +161,12 @@ def select_representatives(
     """
     cfg = cfg.validate()
     gamma = check_responsibilities(gamma)
-    X = np.asarray(X, dtype=np.float64)
+    X = np.asarray(X)
     if gamma.shape[0] != X.shape[0]:
         raise SizeMismatchError(f"{X.shape[0]} points vs {gamma.shape[0]} rows")
     labels = np.argmax(gamma, axis=1)
     no_support = replace(cfg, beta=0.0)
-    norms = np.sqrt(np.einsum("ij,ij->i", X, X))
+    norms = row_norms(X)
     # A computed d-term dot product exceeds the exact one by at most
     # gamma_d |x||y|, gamma_d ~ d u with u = eps / 2 (Higham 2002, sec. 3.1);
     # the mean of m cosines, the two computed norms and their product add
@@ -181,7 +183,7 @@ def select_representatives(
             continue
         cheap = gis_score(members, k, X, gamma, theta, 0.0, no_support)
         # Gathered after gis_score, so its temporaries and X_c never coexist.
-        X_c = X[members]
+        X_c = X[members].astype(np.float64, copy=False)
         lengths = norms[members]
         bound = cheap + _support(lengths * (lengths.max() * (1.0 + slack)), cfg)
         visit = np.lexsort((members, -bound))

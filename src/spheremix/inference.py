@@ -15,7 +15,8 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .errors import TooFewPointsError
-from .geometry import KAPPA_MAX, as_embeddings, mean_resultant_length, normalize
+from .geometry import (KAPPA_MAX, as_embeddings, dot_rows, mean_resultant_length, normalize,
+                       row_blocks, widened_blocks)
 from .objective import (
     MixtureParams,
     _softmax_lse,
@@ -141,11 +142,13 @@ def _kmeans(
 # distance 2(1 - cos) seeds, cosine assigns, the normalized resultant is
 # the centroid. The own-center cosine is a row-wise einsum, not a pick
 # from X @ C.T: the two round differently and would break ties apart.
+# Every product is float64 and by row blocks, whatever X's dtype.
 _SPHERICAL = (
-    lambda X, C: 2.0 * np.clip(1.0 - X @ C.T, 0.0, None),
-    lambda X, C: X @ C.T,
-    lambda X, C, labels: np.einsum("ij,ij->i", X, C[labels]),
-    lambda members: normalize(members.sum(axis=0)),
+    lambda X, C: 2.0 * np.clip(1.0 - dot_rows(X, C), 0.0, None),
+    dot_rows,
+    lambda X, C, labels: np.concatenate(
+        [np.einsum("ij,ij->i", rows, C[labels[b]]) for b, rows in widened_blocks(X)]),
+    lambda members: normalize(members.sum(axis=0, dtype=np.float64)),
 )
 
 
@@ -237,10 +240,11 @@ def _m_step(
     scores: np.ndarray,
 ) -> MixtureParams:
     """M-step used inside fit(): each component's likelihood maximizer
-    (mu, kappa). Empty clusters are reseeded on the worst-explained points;
-    a live one whose resultant cancelled to zero keeps its old (mu, kappa)."""
+    (mu, kappa). The resultants gamma^T X and the reseed's row log-normalizers
+    are formed by row blocks. Empty clusters are reseeded on the worst-explained
+    points; a live one whose resultant cancelled to zero keeps its old (mu, kappa)."""
     n = X.shape[0]
-    r = gamma.T @ X
+    r = sum(gamma[b].T @ rows for b, rows in widened_blocks(X))
     n_k = gamma.sum(axis=0)
 
     mu_new = m_step_mu(r)
@@ -250,7 +254,8 @@ def _m_step(
     if np.any(empty):
         # Worst-explained points under the pre-update model, one per
         # reseeded cluster so duplicates get distinct directions.
-        order = np.argsort(logsumexp(scores, axis=1))
+        order = np.argsort(np.concatenate(
+            [logsumexp(scores[b], axis=1) for b in row_blocks(*scores.shape)]))
         for slot, j in enumerate(np.flatnonzero(empty)):
             mu_new[j] = X[order[slot % n]]
             kappa_new[j] = _KAPPA_INIT

@@ -20,7 +20,7 @@ import numpy as np
 from scipy import special
 
 from .errors import DimensionMismatchError, SizeMismatchError
-from .geometry import KAPPA_MAX, log_vmf_norm_consts, row_blocks
+from .geometry import KAPPA_MAX, dot_rows, log_vmf_norm_consts, row_blocks
 
 _ROW_SUM_ATOL = 1e-9
 
@@ -104,14 +104,15 @@ def entropy_total(gamma: np.ndarray) -> float:
 def log_component_scores(X: np.ndarray, theta: MixtureParams) -> np.ndarray:
     """(n, k) matrix of log(alpha_k f(x_i | mu_k, kappa_k)) with alpha_k = 1/k.
 
-    One dense dot product X @ means.T per call; callers that evaluate the
-    objective and surrogate repeatedly at the same theta should compute
-    this once and use the *_from_scores helpers.
+    One dense dot product X @ means.T per call, in float64 by row blocks
+    (geometry.dot_rows), so float32 rows are never widened whole; callers
+    that evaluate the objective and surrogate repeatedly at the same theta
+    should compute this once and use the *_from_scores helpers.
     """
-    X = np.asarray(X, dtype=np.float64)
+    X = np.asarray(X)
     if X.shape[1] != theta.d:
         raise DimensionMismatchError(f"X has d={X.shape[1]}, theta has d={theta.d}")
-    scores = X @ theta.means.T
+    scores = dot_rows(X, theta.means)
     scores *= theta.kappas
     scores += log_vmf_norm_consts(theta.d, theta.kappas)
     scores -= np.log(theta.k)

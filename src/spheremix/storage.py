@@ -1,9 +1,10 @@
 """On-disk formats: binary embeddings, binary student models, JSON mixture
 models, and the escaped TSV used for labels, texts and datasets.
 
-Embeddings and student weights ship as little-endian float32; computation
-upstream stays float64. All writers go through a temp-file rename so a
-partial output is never observable.
+Embeddings and student weights ship as little-endian float32, and embeddings
+stay float32 in memory: the arithmetic upstream is float64, on one widened row
+block at a time. All writers go through a temp-file rename so a partial
+output is never observable.
 """
 
 from __future__ import annotations
@@ -23,12 +24,13 @@ import numpy as np
 from .distill import FeaturizerSpec, StudentModel
 from .errors import (
     BadMagicError,
+    DivergedError,
     MalformedFileError,
     NormFlagViolationError,
     SizeMismatchError,
     TruncatedPayloadError,
 )
-from .geometry import UNIT_TOL, row_blocks, row_norms
+from .geometry import UNIT_TOL, row_norms
 from .objective import MixtureParams
 
 if TYPE_CHECKING:
@@ -85,7 +87,7 @@ def write_embeddings(X: np.ndarray, path: str | Path, normalized: bool | None = 
 
 
 def read_embeddings(path: str | Path) -> np.ndarray:
-    """Read a GEMEMB1 file into float64 rows (f32 exactly widened), by row blocks."""
+    """Read a GEMEMB1 file into float32 rows, as stored, with one readinto."""
     off = len(EMB_MAGIC) + struct.calcsize("<IQIB")
     with open(path, "rb") as fh:
         head = fh.read(off)
@@ -104,12 +106,10 @@ def read_embeddings(path: str | Path) -> np.ndarray:
             raise TruncatedPayloadError(
                 f"{path}: payload holds {have} bytes, header declares {need}"
             )
-        X = np.empty((n, d))
-        for b in row_blocks(n, d):
-            chunk = np.empty((b.stop - b.start, d), dtype="<f4")
-            if fh.readinto(chunk) != chunk.nbytes:
-                raise TruncatedPayloadError(f"{path}: payload ended before row {b.stop}")
-            X[b] = chunk
+        X = np.empty((n, d), dtype="<f4")
+        got = fh.readinto(X)
+        if got != X.nbytes:
+            raise TruncatedPayloadError(f"{path}: payload ended before row {got // (4 * d) + 1}")
     # Squares of widened f32 values cannot overflow f64, so a row's norm is
     # finite exactly when all its values are.
     norms = row_norms(X)
@@ -186,7 +186,9 @@ def config_echo(cfg: FitConfig) -> dict:
 
 def save_student(path: str | Path, model: StudentModel) -> None:
     """GEMSTU1 binary: u32 {buckets, k, ngram_max, hash_seed}, then f32
-    bias[k], then f32 weights[buckets][k] row-major, all little-endian."""
+    bias[k], then f32 weights[buckets][k] row-major, all little-endian.
+    A student load_student would reject for a non-finite value raises
+    DivergedError, and no file is written."""
     spec = model.featurizer.validate()
     if model.weights.shape != (spec.buckets, model.k):
         raise SizeMismatchError(
@@ -197,7 +199,18 @@ def save_student(path: str | Path, model: StudentModel) -> None:
     )
     bias = np.ascontiguousarray(model.bias, dtype="<f4")
     weights = np.ascontiguousarray(model.weights, dtype="<f4")
+    if not _all_finite(bias, weights):
+        raise DivergedError(f"{path}: bias or weights hold a NaN or infinite value")
     atomic_write_bytes(path, header, bias, weights)
+
+
+def _all_finite(bias: np.ndarray, weights: np.ndarray) -> bool:
+    """Whether every float32 value is finite. A float64 sum of float32 values
+    cannot overflow, so it is finite exactly when every value is (inf - inf
+    gives NaN); it needs no full-size boolean temporary."""
+    with np.errstate(invalid="ignore"):
+        total = bias.sum(dtype=np.float64) + weights.sum(dtype=np.float64)
+    return bool(np.isfinite(total))
 
 
 def load_student(path: str | Path) -> StudentModel:
@@ -225,12 +238,7 @@ def load_student(path: str | Path) -> StudentModel:
     bias = np.frombuffer(blob, dtype="<f4", count=k, offset=off)
     weights = np.frombuffer(blob, dtype="<f4", count=buckets * k, offset=off + k * 4)
     weights = weights.reshape(buckets, k)
-    # A float64 sum of float32 values cannot overflow, so it is finite exactly
-    # when every value is (inf - inf gives NaN); it needs no full-size
-    # boolean temporary.
-    with np.errstate(invalid="ignore"):
-        total = bias.sum(dtype=np.float64) + weights.sum(dtype=np.float64)
-    if not np.isfinite(total):
+    if not _all_finite(bias, weights):
         raise MalformedFileError(f"{path}: bias or weights hold a NaN or infinite value")
     return StudentModel(weights=weights, bias=bias, featurizer=spec)
 

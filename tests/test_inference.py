@@ -576,6 +576,39 @@ class TestFit:
         _, peak = traced_peak(fit, X, FitConfig(k=k, max_iters=3, seed=0))
         assert peak <= 2.5 * 8 * n * k, peak / (8 * n * k)
 
+    def test_reseed_is_formed_by_row_blocks(self, monkeypatch):
+        # Clusters below 4% of the mass count as empty, so every M-step
+        # reseeds. Its row log-normalizers are taken one block of the scores
+        # at a time: the same per-row bits, so the same picks, as one (n, k)
+        # logsumexp, without that call's n x k temporaries. d = 2 keeps X in
+        # one row block, so the resultants are one product either way, while
+        # the scores span ten blocks.
+        monkeypatch.setattr(inference, "_EMPTY_MASS", 0.04)
+        n, k = 50_000, 24
+        X, _ = sample_mixture(n, mixture_means(k, 2, 0, "random"), np.full(k, 100.0), None, 1)
+        cfg = FitConfig(k=k, max_iters=3, seed=0)
+        blocks = []
+        real_logsumexp = inference.logsumexp
+
+        def spy(a, axis):
+            blocks.append(a.shape[0])
+            return real_logsumexp(a, axis=axis)
+
+        monkeypatch.setattr(inference, "logsumexp", spy)
+        res, peak = traced_peak(fit, X, cfg)
+        assert len(blocks) == 30 and sum(blocks) == 3 * n  # three reseeds
+        assert peak <= 2.5 * 8 * n * k + 4 * 8 * geometry.BLOCK_ENTRIES, peak / (8 * n * k)
+
+        def whole(n, width):
+            return [slice(0, n)]
+
+        monkeypatch.setattr(inference, "row_blocks", whole)
+        monkeypatch.setattr(inference, "widened_blocks", lambda X: [(slice(0, len(X)), X)])
+        ref = fit(X, cfg)
+        np.testing.assert_array_equal(res.hard_labels, ref.hard_labels)
+        np.testing.assert_array_equal(res.theta.means, ref.theta.means)
+        np.testing.assert_array_equal(res.theta.kappas, ref.theta.kappas)
+
     def test_too_few_points(self):
         with pytest.raises(TooFewPointsError):
             fit(np.eye(3), FitConfig(k=5))

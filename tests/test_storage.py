@@ -61,7 +61,7 @@ class TestEmbeddings:
         path = tmp_path / "emb.bin"
         write_embeddings(X, path)
         back = read_embeddings(path)
-        assert back.dtype == np.float64
+        assert back.dtype == np.float32
         np.testing.assert_array_equal(back, X.astype(np.float64))
 
     def test_unit_rows_set_flag(self, tmp_path):
@@ -398,6 +398,16 @@ class TestStudentFile:
         back = load_student(path)
         np.testing.assert_array_equal(back.bias, values[0])
         np.testing.assert_array_equal(back.weights, values[1:])
+
+    @pytest.mark.parametrize("part, value", [("weights", np.inf), ("bias", np.nan)])
+    def test_non_finite_student_not_saved(self, tmp_path, part, value):
+        # save_student makes load_student's finiteness check and writes no
+        # file, rather than one its reader rejects.
+        model = self.make_model()
+        getattr(model, part)[1] = value
+        with pytest.raises(SphereMixError, match="NaN or infinite"):
+            save_student(tmp_path / "student.bin", model)
+        assert list(tmp_path.iterdir()) == []
 
     def test_shape_mismatch_on_save(self, tmp_path):
         model = self.make_model()
